@@ -11,10 +11,9 @@
 //! cheap [`Arc`] clones.
 //!
 //! The cache is `Sync`: the parallel experiment engine's workers
-//! ([`Engine`](crate::Engine)) share one cache and may race to generate
-//! the same key. That race is benign — generation is deterministic, so
-//! both racers produce identical libraries and whichever insertion loses
-//! simply drops its copy.
+//! ([`Engine`](crate::Engine)) share one cache. Each key holds a
+//! `OnceLock`, so a library is generated exactly once and concurrent
+//! requesters for the same key wait for it instead of generating a copy.
 //!
 //! [`ProbeCache`] applies the same idea one level up: a capacity search
 //! probes the same `(terminal count, replication)` pairs over and over —
@@ -26,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use spiffi_mpeg::Library;
 
@@ -72,7 +71,7 @@ impl LibraryKey {
 /// A thread-safe, seed-keyed cache of generated libraries.
 #[derive(Debug, Default)]
 pub struct LibraryCache {
-    map: Mutex<HashMap<LibraryKey, Arc<Library>>>,
+    map: Mutex<HashMap<LibraryKey, Arc<OnceLock<Arc<Library>>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -84,18 +83,24 @@ impl LibraryCache {
     }
 
     /// The library for `cfg`, generated on first request and shared
-    /// afterwards.
+    /// afterwards. Generation runs outside the map lock, so other keys stay
+    /// serviceable meanwhile; callers asking for the same key wait for the
+    /// one generating it.
     pub fn get(&self, cfg: &SystemConfig) -> Arc<Library> {
-        let key = LibraryKey::of(cfg);
-        if let Some(lib) = self.map.lock().unwrap().get(&key) {
+        let cell = {
+            let mut map = self.map.lock().unwrap();
+            Arc::clone(map.entry(LibraryKey::of(cfg)).or_default())
+        };
+        let mut generated = false;
+        let lib = Arc::clone(cell.get_or_init(|| {
+            generated = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            Arc::new(VodSystem::generate_library(cfg))
+        }));
+        if !generated {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(lib);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Generate outside the lock: other keys stay serviceable while this
-        // one is built, at the cost of a benign duplicate-generation race.
-        let lib = Arc::new(VodSystem::generate_library(cfg));
-        Arc::clone(self.map.lock().unwrap().entry(key).or_insert(lib))
+        lib
     }
 
     /// Distinct libraries currently cached.
@@ -144,9 +149,9 @@ type ProbeKey = (Arc<str>, u32, u32);
 /// twice for one configuration — within a search, across the bracket /
 /// bisection phases, and across repeated searches (e.g. the outer
 /// [`capacity_with_confidence`](crate::capacity_with_confidence) loop run
-/// twice, or a warm re-measurement in a bench harness). Like
-/// [`LibraryCache`], concurrent duplicate insertion is a benign race:
-/// clean outcomes are deterministic, so racers insert equal values.
+/// twice, or a warm re-measurement in a bench harness). Concurrent
+/// duplicate insertion is harmless: clean outcomes are deterministic, so
+/// racers insert equal values.
 #[derive(Debug, Default)]
 pub struct ProbeCache {
     map: Mutex<HashMap<ProbeKey, ProbeOutcome>>,
@@ -241,14 +246,13 @@ type SnapshotKey = (Arc<str>, u32, u32);
 /// the measurement window — O(Δterminals) instead of re-simulating the
 /// whole warm-up.
 ///
-/// Unlike [`ProbeCache`], duplicate capture is *not* a benign race worth
-/// tolerating: a capture replays a full warm-up, so each key holds a
-/// `OnceLock` and concurrent requesters block on the single capturing
+/// As in [`LibraryCache`], each key holds a `OnceLock`: a capture replays
+/// a full warm-up, so concurrent requesters block on the single capturing
 /// thread instead of burning a core each on identical replays.
 #[derive(Default)]
 pub struct SnapshotCache {
     #[allow(clippy::type_complexity)]
-    map: Mutex<HashMap<SnapshotKey, Arc<std::sync::OnceLock<Arc<VodSystem>>>>>,
+    map: Mutex<HashMap<SnapshotKey, Arc<OnceLock<Arc<VodSystem>>>>>,
     captures: AtomicU64,
     hits: AtomicU64,
 }
@@ -335,6 +339,28 @@ mod tests {
         let c = cache.get(&other);
         assert!(!Arc::ptr_eq(&a, &c), "different seed, different library");
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_key_generate_once() {
+        const THREADS: usize = 6;
+        let cache = LibraryCache::new();
+        let cfg = SystemConfig::small_test();
+        let barrier = std::sync::Barrier::new(THREADS);
+        let libs: Vec<Arc<Library>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        cache.get(&cfg)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.misses(), 1, "library generated more than once");
+        assert_eq!(cache.hits(), THREADS as u64 - 1);
+        assert!(libs.iter().all(|l| Arc::ptr_eq(l, &libs[0])));
     }
 
     #[test]

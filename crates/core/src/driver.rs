@@ -28,29 +28,38 @@
 //! [`LibraryCache`].
 //!
 //! The thread count defaults to the machine's available parallelism and
-//! can be overridden with the `SPIFFI_THREADS` environment variable
-//! (`SPIFFI_THREADS=1` selects the exact legacy sequential path).
+//! can be overridden with the `SPIFFI_THREADS` environment variable.
 //!
-//! # Speculative capacity probing
+//! # One search loop, three executors
 //!
-//! The capacity search itself is a sequential decision process — which
-//! count to probe next depends on whether the current probe glitched —
-//! but both possible next counts are known *before* the probe resolves,
-//! so [`Engine::max_glitch_free_terminals`] keeps idle worker slots busy
-//! running replications of the counts the search could visit next. Every
-//! cleanly finished replication lands in a search-wide [`ProbeCache`]
+//! The capacity search is a sequential decision process, but both
+//! possible next counts are known *before* a probe resolves. So
+//! [`Engine::max_glitch_free_terminals`] runs one loop: it drives a
+//! `SearchCursor` over every probe whose outcome is known, then hands the
+//! breadth-first frontier of missing `(count, replication)` pairs — the
+//! cursor's own probe first, then the counts either branch would visit
+//! next — to a probe executor, up to its idle capacity:
+//!
+//! * `Processes` when `SPIFFI_WORKERS` (or [`Engine::with_process`])
+//!   attaches a [`ProcessPool`] of `spiffi-worker` children;
+//! * otherwise `Threads` above one thread (`SPIFFI_THREADS > 1`): scoped
+//!   worker threads whose idle members speculate on future counts;
+//! * otherwise `Inline`: one pair at a time on the caller's thread. The
+//!   frontier at capacity 1 is the cursor's own pending pair, so this is
+//!   the exact sequential search, with no speculation.
+//!
+//! Every cleanly finished replication lands in the engine's [`ProbeCache`]
 //! keyed by `(config fingerprint, count, replication)`, so no pair is
-//! ever simulated twice for one configuration — not within a search, not
-//! across repeated searches on the same engine. Because a probe's
-//! *counted* outcome is assembled purely from deterministic standalone
-//! replication outcomes, the search walks the exact legacy probe
-//! sequence and the [`CapacityResult`] stays byte-identical at any
-//! thread count; speculative work the search never visits is reported
-//! separately as [`CapacityResult::speculative_events`].
+//! simulated twice for one configuration. Because a probe's *counted*
+//! outcome is assembled from deterministic standalone replication outcomes
+//! in cursor order, the [`CapacityResult`] is byte-identical whichever
+//! executor ran; work the search never counts is reported separately as
+//! [`CapacityResult::speculative_events`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use crate::cache::{LibraryCache, ProbeCache, ProbeOutcome, SnapshotCache};
 use crate::config::SystemConfig;
@@ -416,14 +425,11 @@ impl Engine {
     /// `n_terminals` field is ignored) as a bracketed binary search on the
     /// step grid.
     ///
-    /// The probe sequence is the classic sequential bisection's, replayed
-    /// by a `SearchCursor`; probe outcomes are assembled per replication
-    /// from the engine's [`ProbeCache`], simulating only the pairs the
-    /// cache is missing. Above one thread, idle workers speculatively run
-    /// replications of the counts the search could visit next (both
-    /// bisection branches are known in advance), so the wall-clock
-    /// critical path shrinks while `max_terminals`, `probes` and
-    /// `events_processed` stay byte-identical to `SPIFFI_THREADS=1`.
+    /// Probe outcomes are assembled per replication from the engine's
+    /// [`ProbeCache`], simulating only the pairs it is missing, on the
+    /// executor the engine selects (see the
+    /// [module docs](self#one-search-loop-three-executors)); the result is
+    /// byte-identical whichever executor runs.
     pub fn max_glitch_free_terminals(
         &self,
         cfg: &SystemConfig,
@@ -460,173 +466,39 @@ impl Engine {
             Some(b) => ProbeCache::fingerprint_with_base(&probe_cfg, b),
             None => ProbeCache::fingerprint(&probe_cfg),
         };
-        let warm = mode == SnapshotMode::Warm;
-        let cfg = &probe_cfg;
-        let result = if let Some(pcfg) = &self.process {
-            match ProcessPool::spawn(pcfg.clone().with_telemetry(self.telemetry)) {
-                Ok(pool) => ProcessSearch::new(self, cfg, search, &fp, base, warm, pool).run(),
-                Err(e) => {
+        let plan = ProbePlan {
+            engine: self,
+            cfg: probe_cfg,
+            fp,
+            base,
+            warm: mode == SnapshotMode::Warm,
+        };
+        let search = SearchLoop::new(&plan, search);
+        let pool = self
+            .process
+            .as_ref()
+            .map(|p| ProcessPool::spawn(p.clone().with_telemetry(self.telemetry)));
+        let result = match pool {
+            Some(Ok(pool)) => search.run(Processes::new(&plan, pool)),
+            pool => {
+                if let Some(Err(e)) = pool {
                     // Spawning unavailable (missing binary, fork failure):
-                    // degrade to the in-process engine rather than fail the
-                    // search — the results are byte-identical either way.
+                    // degrade to the in-process executors rather than fail
+                    // the search — the results are byte-identical either way.
                     eprintln!(
                         "spiffi engine: process backend unavailable ({e}); \
                          using in-process execution"
                     );
-                    self.search_in_process(cfg, search, &fp, base, warm)
+                }
+                if self.threads <= 1 {
+                    search.run(Inline::new(&plan))
+                } else {
+                    std::thread::scope(|s| search.run(Threads::spawn(s, &plan, self.threads)))
                 }
             }
-        } else {
-            self.search_in_process(cfg, search, &fp, base, warm)
         };
         self.journal.record_search(result.speculative_events);
         result
-    }
-
-    /// The in-process search paths: the exact legacy sequential loop at
-    /// one thread, the speculative thread team above.
-    fn search_in_process(
-        &self,
-        cfg: &SystemConfig,
-        search: &CapacitySearch,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-    ) -> CapacityResult {
-        if self.threads <= 1 {
-            self.search_sequential(cfg, search, fp, base, warm)
-        } else {
-            SpecSearch::new(self, cfg, search, fp, base, warm).run()
-        }
-    }
-
-    /// The exact legacy search loop, with cache consultation: probes are
-    /// resolved in cursor order, one replication at a time, stopping at
-    /// the first glitching replication just as the cancel protocol does.
-    fn search_sequential(
-        &self,
-        cfg: &SystemConfig,
-        search: &CapacitySearch,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-    ) -> CapacityResult {
-        let mut cursor = SearchCursor::new(search);
-        let mut probes = Vec::new();
-        let mut counted = 0u64;
-        while let Some(n) = cursor.pending() {
-            let mut glitches = 0u64;
-            for r in 0..search.replications {
-                let out = match self.probes.get(fp, n, r) {
-                    Some(out) => {
-                        self.journal.record_probe(ProbeRun {
-                            terminals: n,
-                            replication: r,
-                            cached: true,
-                            clean: true,
-                            worker: false,
-                            events: out.events,
-                            wall_nanos: 0,
-                        });
-                        out
-                    }
-                    None => {
-                        // A fresh cancel flag and in-order replications:
-                        // nothing ever truncates the run, so the outcome
-                        // is the deterministic standalone one and may be
-                        // cached unconditionally.
-                        let cancel = AtomicU32::new(u32::MAX);
-                        let started = std::time::Instant::now();
-                        let sys = self.probe_system(cfg, fp, base, warm, n, r);
-                        let sim_started = std::time::Instant::now();
-                        let report = sys.run_glitch_probe(&cancel, r);
-                        self.journal.record_phase(
-                            PhaseKind::Simulate,
-                            sim_started.elapsed().as_nanos() as u64,
-                        );
-                        self.journal.record_probe(ProbeRun {
-                            terminals: n,
-                            replication: r,
-                            cached: false,
-                            clean: true,
-                            worker: false,
-                            events: report.events_processed,
-                            wall_nanos: started.elapsed().as_nanos() as u64,
-                        });
-                        let out = ProbeOutcome {
-                            glitches: report.glitches,
-                            events: report.events_processed,
-                        };
-                        self.probes.insert(fp, n, r, out);
-                        out
-                    }
-                };
-                glitches += out.glitches;
-                counted += out.events;
-                if out.glitches > 0 {
-                    break;
-                }
-            }
-            probes.push((n, glitches));
-            cursor.advance(glitches);
-        }
-        let (max_terminals, below_bracket) = cursor.answer();
-        CapacityResult {
-            max_terminals,
-            probes,
-            events_processed: counted,
-            // Sequential resolution never runs a replication the search
-            // does not count.
-            speculative_events: 0,
-            below_bracket,
-        }
-    }
-
-    /// The assembled system for replication `r` of a probe at `n`
-    /// terminals, its library drawn from the cache.
-    ///
-    /// With `base` set the system uses marginal-probe timing
-    /// ([`VodSystem::with_library_marginal`]); with `warm` additionally
-    /// set and terminals to spare beyond the base, the shared base prefix
-    /// is replayed once per `(config, base, replication)`, kept in the
-    /// engine's [`SnapshotCache`], and forked — so every probe after the
-    /// first pays only for its marginal terminals.
-    fn probe_system(
-        &self,
-        cfg: &SystemConfig,
-        fp: &Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-        n: u32,
-        r: u32,
-    ) -> VodSystem {
-        let mut c = cfg.clone();
-        c.n_terminals = n;
-        c.seed = replication_seed(cfg.seed, r);
-        let lib = self.cache.get(&c);
-        let Some(b) = base else {
-            return VodSystem::with_library(c, lib);
-        };
-        if warm && n > b {
-            let (snap, hit) = self.snapshots.get_or_capture(fp, b, r, || {
-                let t0 = std::time::Instant::now();
-                let mut bc = c.clone();
-                bc.n_terminals = b;
-                let mut sys = VodSystem::with_library_marginal(bc, Arc::clone(&lib), b);
-                sys.replay_to_snapshot();
-                self.journal
-                    .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-                sys
-            });
-            self.journal
-                .record_snapshot(hit, n - b, snap.events_processed());
-            let t0 = std::time::Instant::now();
-            let forked = snap.fork_to(n);
-            self.journal
-                .record_phase(PhaseKind::Fork, t0.elapsed().as_nanos() as u64);
-            return forked;
-        }
-        VodSystem::with_library_marginal(c, lib, b)
     }
 
     /// Estimate capacity with the paper's replication-until-confident rule
@@ -851,469 +723,253 @@ impl SearchCursor {
     }
 }
 
-/// Shared mutable state of one speculative capacity search.
-#[derive(Debug)]
-struct SpecState {
-    /// The authoritative search position.
+/// What one capacity search probes: the configuration every probe derives
+/// from (warm-up already extended under marginal timing), its probe-cache
+/// fingerprint, the marginal base count (`None` under
+/// [`SnapshotMode::Off`]) and whether probes above the base fork warm
+/// snapshots.
+struct ProbePlan<'a> {
+    engine: &'a Engine,
+    cfg: SystemConfig,
+    fp: Arc<str>,
+    base: Option<u32>,
+    warm: bool,
+}
+
+impl ProbePlan<'_> {
+    /// The configuration of replication `r` at `n` terminals.
+    fn config(&self, n: u32, r: u32) -> SystemConfig {
+        let mut c = self.cfg.clone();
+        c.n_terminals = n;
+        c.seed = replication_seed(self.cfg.seed, r);
+        c
+    }
+
+    /// The base a probe at `n` forks from: set only when warm forking
+    /// applies (warm mode, a base in play, terminals beyond it).
+    fn fork_base(&self, n: u32) -> Option<u32> {
+        self.base.filter(|&b| self.warm && n > b)
+    }
+
+    /// The warm base snapshot of replication `r`: the base prefix replayed
+    /// once per `(config, base, replication)` and kept in the engine's
+    /// [`SnapshotCache`]. Journaled as a capture or a hit on behalf of a
+    /// probe at `n` terminals.
+    fn base_snapshot(&self, b: u32, n: u32, r: u32) -> Arc<VodSystem> {
+        let (snap, hit) = self.engine.snapshots.get_or_capture(&self.fp, b, r, || {
+            let c = self.config(b, r);
+            let lib = self.engine.cache.get(&c);
+            self.timed(PhaseKind::Capture, || {
+                let mut sys = VodSystem::with_library_marginal(c, lib, b);
+                sys.replay_to_snapshot();
+                sys
+            })
+        });
+        self.journal()
+            .record_snapshot(hit, n - b, snap.events_processed());
+        snap
+    }
+
+    /// The assembled system for replication `r` of a probe at `n`
+    /// terminals, its library drawn from the cache.
+    ///
+    /// With a marginal base the system uses marginal-probe timing
+    /// ([`VodSystem::with_library_marginal`]); when warm forking applies
+    /// it is forked from the base snapshot, so every probe after the first
+    /// pays only for its marginal terminals.
+    fn probe_system(&self, n: u32, r: u32) -> VodSystem {
+        if let Some(b) = self.fork_base(n) {
+            let snap = self.base_snapshot(b, n, r);
+            return self.timed(PhaseKind::Fork, || snap.fork_to(n));
+        }
+        let c = self.config(n, r);
+        let lib = self.engine.cache.get(&c);
+        match self.base {
+            Some(b) => VodSystem::with_library_marginal(c, lib, b),
+            None => VodSystem::with_library(c, lib),
+        }
+    }
+
+    /// Simulate replication `r` of a probe at `n` terminals in this
+    /// process — every in-process probe runs through here.
+    /// `cancel` is shared by the count's replications (a glitching one
+    /// truncates its higher-indexed siblings); `abort` is raised once the
+    /// search no longer needs the run.
+    fn simulate_probe(&self, n: u32, r: u32, cancel: &AtomicU32, abort: &AtomicBool) -> Landed {
+        let started = std::time::Instant::now();
+        let sys = self.probe_system(n, r);
+        let (report, clean) = self.timed(PhaseKind::Simulate, || {
+            sys.run_glitch_probe_abortable(cancel, r, abort)
+        });
+        Landed {
+            glitches: report.glitches,
+            run: ProbeRun {
+                terminals: n,
+                replication: r,
+                cached: false,
+                clean,
+                worker: false,
+                events: report.events_processed,
+                wall_nanos: started.elapsed().as_nanos() as u64,
+            },
+        }
+    }
+
+    /// Run `f`, charging its wall time to `phase` in the engine's journal.
+    fn timed<T>(&self, phase: PhaseKind, f: impl FnOnce() -> T) -> T {
+        let t0 = std::time::Instant::now();
+        let out = f();
+        self.journal()
+            .record_phase(phase, t0.elapsed().as_nanos() as u64);
+        out
+    }
+
+    fn journal(&self) -> &RunJournal {
+        &self.engine.journal
+    }
+}
+
+/// One replication an executor finished: its journal record (`clean`
+/// unless a cancel or abort flag truncated the run) and its glitches.
+#[derive(Clone, Copy, Debug)]
+struct Landed {
+    run: ProbeRun,
+    glitches: u64,
+}
+
+/// How many distinct counts [`SearchLoop::frontier`] may examine per call.
+/// The reachable set is naturally small (bisection halves the bracket, so
+/// ~log₂ of the grid plus the walk-down), but a bound keeps a pathological
+/// grid from turning job selection into the bottleneck.
+const MAX_FRONTIER: usize = 256;
+
+/// Where the search loop's `(count, replication)` pairs are simulated.
+trait ProbeExecutor {
+    /// Pairs the executor could start right now.
+    fn idle(&self) -> usize;
+    /// Start replication `r` of a probe at `n` terminals.
+    fn submit(&mut self, n: u32, r: u32);
+    /// Block until a submitted pair lands; `None` when nothing is in flight.
+    fn wait(&mut self) -> Option<Landed>;
+    /// The search has its answer: abandon speculative work, fold the
+    /// executor's own accounting into the engine, and return whatever else
+    /// landed meanwhile.
+    fn finish(self) -> Vec<Landed>;
+}
+
+/// How a memoized outcome reached the search, until [`SearchLoop::drive`]
+/// first counts it.
+#[derive(Clone, Copy, Debug)]
+enum Source {
+    /// Served by the engine-wide cache: journaled as a hit when counted.
+    Cache,
+    /// Simulated for this search: its events stop counting as waste.
+    Fresh,
+}
+
+/// The one capacity-search loop: drive the authoritative [`SearchCursor`]
+/// over every probe whose counted outcome is known, keep the executor fed
+/// with the breadth-first frontier of missing pairs, absorb what lands.
+/// Counted totals are assembled from clean standalone outcomes in cursor
+/// order, so the result does not depend on the executor, its capacity or
+/// the order in which pairs land.
+struct SearchLoop<'a> {
+    plan: &'a ProbePlan<'a>,
+    replications: u32,
     cursor: SearchCursor,
     /// Probe log in cursor order: `(count, counted glitch total)`.
     probes: Vec<(u32, u64)>,
     /// Counted events — the deterministic total the result reports.
     counted_events: u64,
-    /// Clean outcomes known to this search (cache-served or completed
-    /// here), memoized so the cache mutex is touched once per pair.
-    outcomes: HashMap<(u32, u32), ProbeOutcome>,
-    /// Events executed by replications this call actually simulated,
-    /// keyed by pair — the clean ones, consulted for waste accounting.
-    fresh: HashMap<(u32, u32), u64>,
-    /// Pairs currently being simulated by some worker.
-    running: HashSet<(u32, u32)>,
-    /// Per-count cancel flags (shared by that count's replications so a
-    /// glitching replication still short-circuits its higher siblings).
-    cancels: HashMap<u32, Arc<AtomicU32>>,
-    /// Every event simulated by this call, clean or truncated.
-    executed_events: u64,
-    /// The cursor reached [`Phase::Done`].
-    done: bool,
-}
-
-/// One speculative run of [`Engine::max_glitch_free_terminals`]: a team
-/// of workers that drive the authoritative [`SearchCursor`] forward as
-/// probe outcomes resolve, and spend idle slots on replications of
-/// counts the search may visit next. See the
-/// [module docs](self#speculative-capacity-probing) for the determinism
-/// argument.
-struct SpecSearch<'a> {
-    engine: &'a Engine,
-    cfg: &'a SystemConfig,
-    replications: u32,
-    fp: &'a Arc<str>,
-    /// Marginal-probe base count (see [`SnapshotMode`]), `None` when off.
-    base: Option<u32>,
-    /// Serve probes above the base by forking warm snapshots.
-    warm: bool,
-    state: Mutex<SpecState>,
-    /// Signalled whenever an outcome lands or the search finishes.
-    resolved: Condvar,
-    /// Raised once the search is answered: in-flight speculative runs
-    /// abandon their simulations at the next poll.
-    abort: AtomicBool,
-}
-
-impl<'a> SpecSearch<'a> {
-    /// How many distinct future counts [`SpecSearch::pick_task`] may
-    /// examine per call. The reachable set is naturally small (bisection
-    /// halves the bracket, so ~log₂ of the grid plus the walk-down), but
-    /// a bound keeps a pathological grid from turning task selection
-    /// into the bottleneck.
-    const MAX_FRONTIER: usize = 256;
-
-    fn new(
-        engine: &'a Engine,
-        cfg: &'a SystemConfig,
-        search: &CapacitySearch,
-        fp: &'a Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-    ) -> Self {
-        SpecSearch {
-            engine,
-            cfg,
-            replications: search.replications,
-            fp,
-            base,
-            warm,
-            state: Mutex::new(SpecState {
-                cursor: SearchCursor::new(search),
-                probes: Vec::new(),
-                counted_events: 0,
-                outcomes: HashMap::new(),
-                fresh: HashMap::new(),
-                running: HashSet::new(),
-                cancels: HashMap::new(),
-                executed_events: 0,
-                done: false,
-            }),
-            resolved: Condvar::new(),
-            abort: AtomicBool::new(false),
-        }
-    }
-
-    fn run(self) -> CapacityResult {
-        std::thread::scope(|s| {
-            for _ in 0..self.engine.threads {
-                s.spawn(|| self.worker());
-            }
-        });
-        let st = self.state.into_inner().unwrap();
-        let (max_terminals, below_bracket) = st.cursor.answer();
-        // Waste = everything executed minus the executed events that the
-        // search counted. Counted pairs are re-derived from the probe log
-        // (deduplicated, because a `lo == hi` bracket counts one pair
-        // twice while executing it once).
-        let mut counted_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for &(n, _) in &st.probes {
-            for r in 0..self.replications {
-                let out = st.outcomes[&(n, r)];
-                counted_pairs.insert((n, r));
-                if out.glitches > 0 {
-                    break;
-                }
-            }
-        }
-        let fresh_counted: u64 = counted_pairs
-            .iter()
-            .filter_map(|pair| st.fresh.get(pair))
-            .sum();
-        CapacityResult {
-            max_terminals,
-            probes: st.probes,
-            events_processed: st.counted_events,
-            speculative_events: st.executed_events.saturating_sub(fresh_counted),
-            below_bracket,
-        }
-    }
-
-    fn worker(&self) {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            self.drive(&mut st);
-            if st.done {
-                self.abort.store(true, Ordering::Relaxed);
-                self.resolved.notify_all();
-                return;
-            }
-            match self.pick_task(&mut st) {
-                Some((n, r, cancel)) => {
-                    st.running.insert((n, r));
-                    drop(st);
-                    let started = std::time::Instant::now();
-                    let system = self
-                        .engine
-                        .probe_system(self.cfg, self.fp, self.base, self.warm, n, r);
-                    let sim_started = std::time::Instant::now();
-                    let (report, clean) =
-                        system.run_glitch_probe_abortable(&cancel, r, &self.abort);
-                    self.engine
-                        .journal
-                        .record_phase(PhaseKind::Simulate, sim_started.elapsed().as_nanos() as u64);
-                    self.engine.journal.record_probe(ProbeRun {
-                        terminals: n,
-                        replication: r,
-                        cached: false,
-                        clean,
-                        worker: false,
-                        events: report.events_processed,
-                        wall_nanos: started.elapsed().as_nanos() as u64,
-                    });
-                    st = self.state.lock().unwrap();
-                    st.running.remove(&(n, r));
-                    st.executed_events += report.events_processed;
-                    if clean {
-                        let out = ProbeOutcome {
-                            glitches: report.glitches,
-                            events: report.events_processed,
-                        };
-                        self.engine.probes.insert(self.fp, n, r, out);
-                        st.outcomes.insert((n, r), out);
-                        st.fresh.insert((n, r), report.events_processed);
-                    }
-                    self.resolved.notify_all();
-                }
-                None => {
-                    // Every needed pair is in flight on another worker (the
-                    // cursor being unanswered guarantees at least one is):
-                    // wait for a resolution.
-                    st = self.resolved.wait(st).unwrap();
-                }
-            }
-        }
-    }
-
-    /// Advance the authoritative cursor over every probe whose counted
-    /// outcome is fully known, logging probes and counted events exactly
-    /// as the sequential loop would.
-    fn drive(&self, st: &mut SpecState) {
-        while let Some(n) = st.cursor.pending() {
-            match self.probe_total(st, n) {
-                Some((glitches, events)) => {
-                    st.probes.push((n, glitches));
-                    st.counted_events += events;
-                    st.cursor.advance(glitches);
-                }
-                None => return,
-            }
-        }
-        st.done = true;
-    }
-
-    /// The counted `(glitch total, event total)` of a probe at `n`, if
-    /// every replication outcome it depends on is known: replications in
-    /// index order up to and including the first glitching one.
-    fn probe_total(&self, st: &mut SpecState, n: u32) -> Option<(u64, u64)> {
-        let mut glitches = 0u64;
-        let mut events = 0u64;
-        for r in 0..self.replications {
-            let out = self.lookup(st, n, r)?;
-            glitches += out.glitches;
-            events += out.events;
-            if out.glitches > 0 {
-                break;
-            }
-        }
-        Some((glitches, events))
-    }
-
-    /// The clean outcome of `(n, r)` if known, consulting this search's
-    /// memo first and the engine-wide cache second (picking up pairs
-    /// pre-warmed by earlier searches).
-    fn lookup(&self, st: &mut SpecState, n: u32, r: u32) -> Option<ProbeOutcome> {
-        if let Some(&out) = st.outcomes.get(&(n, r)) {
-            return Some(out);
-        }
-        let out = self.engine.probes.get(self.fp, n, r)?;
-        // First sighting of a pre-warmed pair this search (the memo above
-        // absorbs repeats): journal it as a cache hit.
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: true,
-            clean: true,
-            worker: false,
-            events: out.events,
-            wall_nanos: 0,
-        });
-        st.outcomes.insert((n, r), out);
-        Some(out)
-    }
-
-    /// Choose the next replication to simulate: breadth-first over the
-    /// cursor's reachable futures, so the probe the search is actually
-    /// waiting on always outranks speculation, and nearer speculative
-    /// counts outrank farther ones. Within a count, replications dispatch
-    /// in index order past any that are already running — the same
-    /// all-replications-concurrent shape as the pre-speculative probe.
-    fn pick_task(&self, st: &mut SpecState) -> Option<(u32, u32, Arc<AtomicU32>)> {
-        let mut queue: VecDeque<SearchCursor> = VecDeque::new();
-        queue.push_back(st.cursor);
-        let mut seen: HashSet<u32> = HashSet::new();
-        while let Some(cursor) = queue.pop_front() {
-            let Some(n) = cursor.pending() else { continue };
-            if !seen.insert(n) || seen.len() > Self::MAX_FRONTIER {
-                continue;
-            }
-            // Scan this count's replications for one worth dispatching.
-            let mut known_glitch = false;
-            for r in 0..self.replications {
-                match self.lookup(st, n, r) {
-                    Some(out) if out.glitches > 0 => {
-                        // Higher replications are never counted.
-                        known_glitch = true;
-                        break;
-                    }
-                    Some(_) => {}
-                    None => {
-                        if !st.running.contains(&(n, r)) {
-                            let cancel = st
-                                .cancels
-                                .entry(n)
-                                .or_insert_with(|| Arc::new(AtomicU32::new(u32::MAX)));
-                            return Some((n, r, Arc::clone(cancel)));
-                        }
-                    }
-                }
-            }
-            // Nothing to dispatch here; expand the futures this count
-            // leads to. When the probe's outcome is already decided (all
-            // counted replications known, or any replication known to
-            // glitch) only the real branch exists.
-            match self.probe_total(st, n) {
-                Some((glitches, _)) => {
-                    let mut next = cursor;
-                    next.advance(glitches);
-                    queue.push_back(next);
-                }
-                None if known_glitch => {
-                    let mut next = cursor;
-                    next.advance(1);
-                    queue.push_back(next);
-                }
-                None => {
-                    let mut glitch = cursor;
-                    glitch.advance(1);
-                    queue.push_back(glitch);
-                    let mut clean = cursor;
-                    clean.advance(0);
-                    queue.push_back(clean);
-                }
-            }
-        }
-        None
-    }
-}
-
-/// One process-backed run of [`Engine::max_glitch_free_terminals`]: the
-/// same authoritative [`SearchCursor`] and slotting contract as
-/// [`SpecSearch`], but probe replications execute in a
-/// [`ProcessPool`] of `spiffi-worker` children instead of in-process
-/// threads. The dispatcher itself is single-threaded: it drives the
-/// cursor over known outcomes, keeps idle workers fed with the counts the
-/// search could visit next, and absorbs results as they land.
-///
-/// Determinism is inherited, not re-argued: every job is a *standalone*
-/// replication (fresh cancel flag, never truncated), so its outcome is
-/// the deterministic clean one regardless of which worker incarnation
-/// computed it — or whether the pool gave up and this dispatcher
-/// simulated it in-process after a quarantine. Counted totals are
-/// assembled from those outcomes in cursor order, exactly like the
-/// sequential loop.
-struct ProcessSearch<'a> {
-    engine: &'a Engine,
-    cfg: &'a SystemConfig,
-    replications: u32,
-    fp: &'a Arc<str>,
-    /// Marginal-probe base count (see [`SnapshotMode`]), `None` when off.
-    base: Option<u32>,
-    /// Serve probes above the base from warm snapshots: in-process
-    /// fallbacks fork the engine's [`SnapshotCache`] directly, and worker
-    /// jobs carry a `snap=` digest referencing a serialized copy of the
-    /// same snapshot ([`ProcessSearch::snapshot_blob`]) that the pool
-    /// ships down each worker's stdin once per incarnation.
-    warm: bool,
-    /// Serialized snapshot frames by replication index (the fingerprint
-    /// and base are fixed for one search), each built at most once.
-    /// The second element is the base prefix's event count, for the
-    /// journal's saved-events accounting on reuse.
-    blobs: HashMap<u32, (Arc<SnapshotBlob>, u64)>,
-    pool: ProcessPool,
-    cursor: SearchCursor,
-    probes: Vec<(u32, u64)>,
-    counted_events: u64,
-    /// Clean outcomes known to this search (cache, worker, or fallback).
-    outcomes: HashMap<(u32, u32), ProbeOutcome>,
-    /// Events of replications executed *for* this call (worker or
-    /// fallback), for waste accounting.
-    fresh: HashMap<(u32, u32), u64>,
-    /// Pairs currently on a worker (or in the pool's retry queue).
+    /// Clean outcomes known to this search, memoized so the cache mutex
+    /// is touched once per pair.
+    memo: HashMap<(u32, u32), ProbeOutcome>,
+    /// Memoized pairs not yet counted, by how they arrived.
+    uncounted: HashMap<(u32, u32), Source>,
+    /// Pairs submitted to the executor that have not landed.
     inflight: HashSet<(u32, u32)>,
-    /// Every event executed for this call, counted or speculative.
-    executed_events: u64,
+    /// Events simulated for this search that it has not counted.
+    speculative_events: u64,
 }
 
-impl<'a> ProcessSearch<'a> {
-    fn new(
-        engine: &'a Engine,
-        cfg: &'a SystemConfig,
-        search: &CapacitySearch,
-        fp: &'a Arc<str>,
-        base: Option<u32>,
-        warm: bool,
-        pool: ProcessPool,
-    ) -> Self {
-        ProcessSearch {
-            engine,
-            cfg,
+impl<'a> SearchLoop<'a> {
+    fn new(plan: &'a ProbePlan<'a>, search: &CapacitySearch) -> Self {
+        SearchLoop {
+            plan,
             replications: search.replications,
-            fp,
-            base,
-            warm,
-            blobs: HashMap::new(),
-            pool,
             cursor: SearchCursor::new(search),
             probes: Vec::new(),
             counted_events: 0,
-            outcomes: HashMap::new(),
-            fresh: HashMap::new(),
+            memo: HashMap::new(),
+            uncounted: HashMap::new(),
             inflight: HashSet::new(),
-            executed_events: 0,
+            speculative_events: 0,
         }
     }
 
-    fn run(mut self) -> CapacityResult {
+    fn run(mut self, mut exec: impl ProbeExecutor) -> CapacityResult {
         loop {
             self.drive();
             if self.cursor.pending().is_none() {
                 break;
             }
-            self.submit_frontier();
-            match self.pool.wait_one() {
-                Some(resolved) => {
-                    let pair = (resolved.terminals, resolved.replication);
-                    self.inflight.remove(&pair);
-                    match resolved.outcome {
-                        Some(out) => self.absorb_worker_result(pair, out),
-                        // Quarantined after its attempts: the job is
-                        // poisoned as far as the pool is concerned, but
-                        // its outcome is still required and deterministic
-                        // — simulate it here.
-                        None => self.resolve_in_process(pair),
-                    }
-                }
-                None => {
-                    // Nothing in flight and nothing submittable landed on
-                    // a worker (the pool is fully degraded). Guarantee
-                    // progress by resolving the cursor's own probe here.
-                    if let Some(pair) = self.first_missing_pair() {
-                        self.resolve_in_process(pair);
-                    }
-                }
+            for (n, r) in self.frontier(exec.idle()) {
+                self.inflight.insert((n, r));
+                exec.submit(n, r);
             }
+            let landed = exec
+                .wait()
+                .expect("an unanswered search always has a pair in flight");
+            self.absorb(landed);
         }
-        self.engine.journal.record_worker_activity(
-            self.pool.retries(),
-            self.pool.respawns(),
-            self.pool.quarantined(),
-        );
-        self.engine
-            .journal
-            .record_snapshot_shipping(self.pool.snapshot_bytes_shipped(), self.pool.worker_forks());
-        self.fold_telemetry();
+        for landed in exec.finish() {
+            self.absorb(landed);
+        }
         let (max_terminals, below_bracket) = self.cursor.answer();
-        // Waste accounting mirrors SpecSearch: everything executed for
-        // this call minus the executed events the search counted (counted
-        // pairs deduplicated — a `lo == hi` bracket counts one pair twice
-        // while executing it once).
-        let mut counted_pairs: HashSet<(u32, u32)> = HashSet::new();
-        for &(n, _) in &self.probes {
-            for r in 0..self.replications {
-                let out = self.outcomes[&(n, r)];
-                counted_pairs.insert((n, r));
-                if out.glitches > 0 {
-                    break;
-                }
-            }
-        }
-        let fresh_counted: u64 = counted_pairs
-            .iter()
-            .filter_map(|pair| self.fresh.get(pair))
-            .sum();
         CapacityResult {
             max_terminals,
             probes: self.probes,
             events_processed: self.counted_events,
-            speculative_events: self.executed_events.saturating_sub(fresh_counted),
+            speculative_events: self.speculative_events,
             below_bracket,
         }
     }
 
-    /// Advance the authoritative cursor over every probe whose counted
-    /// outcome is fully known (same shape as [`SpecSearch::drive`]).
+    /// Advance the cursor over every probe whose counted outcome is fully
+    /// known, logging probes and counted events exactly as the sequential
+    /// loop would. A pair's source is settled the first time it is counted
+    /// (a `lo == hi` bracket counts one pair twice).
     fn drive(&mut self) {
         while let Some(n) = self.cursor.pending() {
-            match self.probe_total(n) {
-                Some((glitches, events)) => {
-                    self.probes.push((n, glitches));
-                    self.counted_events += events;
-                    self.cursor.advance(glitches);
+            let Some((glitches, events, used)) = self.probe_total(n) else {
+                return;
+            };
+            for r in 0..used {
+                match self.uncounted.remove(&(n, r)) {
+                    Some(Source::Fresh) => self.speculative_events -= self.memo[&(n, r)].events,
+                    Some(Source::Cache) => self.plan.journal().record_probe(ProbeRun {
+                        terminals: n,
+                        replication: r,
+                        cached: true,
+                        clean: true,
+                        worker: false,
+                        events: self.memo[&(n, r)].events,
+                        wall_nanos: 0,
+                    }),
+                    None => {}
                 }
-                None => return,
             }
+            self.probes.push((n, glitches));
+            self.counted_events += events;
+            self.cursor.advance(glitches);
         }
     }
 
-    /// The counted `(glitch total, event total)` of a probe at `n`, if
-    /// every replication outcome it depends on is known.
-    fn probe_total(&mut self, n: u32) -> Option<(u64, u64)> {
+    /// The counted `(glitch total, event total, replications used)` of a
+    /// probe at `n`, if every replication outcome it depends on is known:
+    /// replications in index order up to and including the first
+    /// glitching one.
+    fn probe_total(&mut self, n: u32) -> Option<(u64, u64, u32)> {
         let mut glitches = 0u64;
         let mut events = 0u64;
         for r in 0..self.replications {
@@ -1321,225 +977,352 @@ impl<'a> ProcessSearch<'a> {
             glitches += out.glitches;
             events += out.events;
             if out.glitches > 0 {
-                break;
+                return Some((glitches, events, r + 1));
             }
         }
-        Some((glitches, events))
+        Some((glitches, events, self.replications))
     }
 
     /// The clean outcome of `(n, r)` if known: this search's memo first,
-    /// the engine-wide cache second.
+    /// the engine-wide cache second (pairs cached by earlier searches).
     fn lookup(&mut self, n: u32, r: u32) -> Option<ProbeOutcome> {
-        if let Some(&out) = self.outcomes.get(&(n, r)) {
+        if let Some(&out) = self.memo.get(&(n, r)) {
             return Some(out);
         }
-        let out = self.engine.probes.get(self.fp, n, r)?;
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: true,
-            clean: true,
-            worker: false,
-            events: out.events,
-            wall_nanos: 0,
-        });
-        self.outcomes.insert((n, r), out);
+        let out = self.plan.engine.probes.get(&self.plan.fp, n, r)?;
+        self.memo.insert((n, r), out);
+        self.uncounted.insert((n, r), Source::Cache);
         Some(out)
     }
 
-    /// The serialized base-prefix snapshot frame to ship alongside a job
-    /// at `(n, r)`, if warm forking applies (`warm` set, a base in play,
-    /// and terminals to spare beyond it).
-    ///
-    /// The first consultation per replication replays the base prefix
-    /// through the engine's [`SnapshotCache`] (exactly the in-process
-    /// warm path of [`Engine::probe_system`]) and serializes it once;
-    /// repeats reuse the stored frame. Every consultation is journaled
-    /// as a snapshot capture or hit so the warm-path counters stay
-    /// meaningful under the worker backend.
-    fn snapshot_blob(&mut self, n: u32, r: u32) -> Option<Arc<SnapshotBlob>> {
-        let b = self.base?;
-        if !self.warm || n <= b {
-            return None;
-        }
-        if let Some((blob, prefix_events)) = self.blobs.get(&r) {
-            self.engine
-                .journal
-                .record_snapshot(true, n - b, *prefix_events);
-            return Some(Arc::clone(blob));
-        }
-        let mut c = self.cfg.clone();
-        c.n_terminals = b;
-        c.seed = replication_seed(self.cfg.seed, r);
-        let lib = self.engine.cache.get(&c);
-        let (snap, hit) = self.engine.snapshots.get_or_capture(self.fp, b, r, || {
-            let t0 = std::time::Instant::now();
-            let mut sys = VodSystem::with_library_marginal(c, lib, b);
-            sys.replay_to_snapshot();
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-            sys
-        });
-        self.engine
-            .journal
-            .record_snapshot(hit, n - b, snap.events_processed());
-        let t0 = std::time::Instant::now();
-        let blob = Arc::new(SnapshotBlob::new(b, r, &snap.snap_export()));
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Capture, t0.elapsed().as_nanos() as u64);
-        self.blobs
-            .insert(r, (Arc::clone(&blob), snap.events_processed()));
-        Some(blob)
-    }
-
-    /// Keep idle workers fed: breadth-first over the cursor's reachable
-    /// futures (the priority order of [`SpecSearch::pick_task`]), submit
-    /// every missing, not-in-flight replication until the pool has no
-    /// idle worker left.
-    fn submit_frontier(&mut self) {
-        let mut budget = self.pool.idle_workers();
-        if budget == 0 {
-            return;
-        }
-        let mut queue: VecDeque<SearchCursor> = VecDeque::new();
-        queue.push_back(self.cursor);
+    /// Up to `capacity` missing pairs that are not in flight, breadth-first
+    /// over the cursor's reachable futures: the probe the search is waiting
+    /// on first, nearer speculative counts before farther ones (the
+    /// glitch branch before the clean one), and within a count the
+    /// replications in index order. At capacity 1 with nothing in flight
+    /// this is the cursor's own next replication — the sequential search.
+    fn frontier(&mut self, capacity: usize) -> Vec<(u32, u32)> {
+        let mut picked = Vec::new();
+        let mut queue = VecDeque::from([self.cursor]);
         let mut seen: HashSet<u32> = HashSet::new();
         while let Some(cursor) = queue.pop_front() {
+            if picked.len() >= capacity {
+                break;
+            }
             let Some(n) = cursor.pending() else { continue };
-            if !seen.insert(n) || seen.len() > SpecSearch::MAX_FRONTIER {
+            if !seen.insert(n) || seen.len() > MAX_FRONTIER {
                 continue;
             }
             let mut known_glitch = false;
             for r in 0..self.replications {
                 match self.lookup(n, r) {
                     Some(out) if out.glitches > 0 => {
+                        // Higher replications are never counted.
                         known_glitch = true;
                         break;
                     }
                     Some(_) => {}
-                    None => {
-                        if self.inflight.insert((n, r)) {
-                            let blob = self.snapshot_blob(n, r);
-                            self.pool.submit(n, r, self.base, self.cfg, blob);
-                            budget -= 1;
-                            if budget == 0 {
-                                return;
-                            }
-                        }
-                    }
+                    None if self.inflight.contains(&(n, r)) => {}
+                    None if picked.len() < capacity => picked.push((n, r)),
+                    None => break,
                 }
             }
-            match self.probe_total(n) {
-                Some((glitches, _)) => {
-                    let mut next = cursor;
-                    next.advance(glitches);
-                    queue.push_back(next);
-                }
-                None if known_glitch => {
-                    let mut next = cursor;
-                    next.advance(1);
-                    queue.push_back(next);
-                }
-                None => {
-                    let mut glitch = cursor;
-                    glitch.advance(1);
-                    queue.push_back(glitch);
-                    let mut clean = cursor;
-                    clean.advance(0);
-                    queue.push_back(clean);
-                }
+            // Expand the futures this count leads to. When the probe's
+            // outcome is already decided (all counted replications known,
+            // or any replication known to glitch) only the real branch
+            // exists.
+            let branches: &[u64] = match self.probe_total(n) {
+                Some((glitches, _, _)) => &[glitches],
+                None if known_glitch => &[1],
+                None => &[1, 0],
+            };
+            for &glitches in branches {
+                let mut next = cursor;
+                next.advance(glitches);
+                queue.push_back(next);
             }
         }
+        picked
     }
 
-    /// A worker's clean outcome for `pair` lands exactly like a fresh
-    /// in-thread simulation: journaled, cached engine-wide, memoized.
-    fn absorb_worker_result(&mut self, pair: (u32, u32), out: crate::wire::WorkerOutcome) {
-        let (n, r) = pair;
-        // With telemetry on, the worker's own span deltas carry a
-        // finer-grained simulate wall; without it, the job's reported wall
-        // is the best available simulate-phase estimate.
-        if self.engine.telemetry.is_none() {
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Simulate, out.wall_nanos);
+    /// Journal a landed replication; a clean one is also cached
+    /// engine-wide and memoized.
+    fn absorb(&mut self, Landed { run, glitches }: Landed) {
+        let (pair, events) = ((run.terminals, run.replication), run.events);
+        let engine = self.plan.engine;
+        engine.journal.record_probe(run);
+        self.inflight.remove(&pair);
+        self.speculative_events += events;
+        if run.clean {
+            let out = ProbeOutcome { glitches, events };
+            engine.probes.insert(&self.plan.fp, pair.0, pair.1, out);
+            self.memo.insert(pair, out);
+            self.uncounted.insert(pair, Source::Fresh);
         }
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: false,
-            clean: true,
-            worker: true,
-            events: out.events,
-            wall_nanos: out.wall_nanos,
-        });
-        let outcome = ProbeOutcome {
-            glitches: out.glitches,
-            events: out.events,
-        };
-        self.executed_events += out.events;
-        self.engine.probes.insert(self.fp, n, r, outcome);
-        self.outcomes.insert(pair, outcome);
-        self.fresh.insert(pair, out.events);
+    }
+}
+
+/// One pair at a time on the caller's thread, with fresh cancel and abort
+/// flags: nothing truncates the run, so every landing is clean.
+struct Inline<'a> {
+    plan: &'a ProbePlan<'a>,
+    landed: Option<Landed>,
+}
+
+impl<'a> Inline<'a> {
+    fn new(plan: &'a ProbePlan<'a>) -> Self {
+        Inline { plan, landed: None }
     }
 
-    /// Deterministic in-process fallback for a pair the pool could not
-    /// resolve: the standalone replication the worker would have run.
-    fn resolve_in_process(&mut self, pair: (u32, u32)) {
-        let (n, r) = pair;
-        if self.outcomes.contains_key(&pair) {
-            return;
-        }
+    fn run(&self, n: u32, r: u32) -> Landed {
         let cancel = AtomicU32::new(u32::MAX);
-        let started = std::time::Instant::now();
-        let sys = self
-            .engine
-            .probe_system(self.cfg, self.fp, self.base, self.warm, n, r);
-        let sim_started = std::time::Instant::now();
-        let report = sys.run_glitch_probe(&cancel, r);
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Simulate, sim_started.elapsed().as_nanos() as u64);
-        self.engine.journal.record_probe(ProbeRun {
-            terminals: n,
-            replication: r,
-            cached: false,
-            clean: true,
-            worker: false,
-            events: report.events_processed,
-            wall_nanos: started.elapsed().as_nanos() as u64,
-        });
-        let outcome = ProbeOutcome {
-            glitches: report.glitches,
-            events: report.events_processed,
-        };
-        self.executed_events += report.events_processed;
-        self.engine.probes.insert(self.fp, n, r, outcome);
-        self.outcomes.insert(pair, outcome);
-        self.fresh.insert(pair, report.events_processed);
+        self.plan
+            .simulate_probe(n, r, &cancel, &AtomicBool::new(false))
+    }
+}
+
+impl ProbeExecutor for Inline<'_> {
+    fn idle(&self) -> usize {
+        usize::from(self.landed.is_none())
     }
 
-    /// Fold everything the pool observed into the engine: telemetry
-    /// frames become [`WorkerStream`]s stashed for
-    /// [`Engine::take_worker_telemetry`], their journal deltas land in the
-    /// per-phase wall-time breakdown, snapshot shipping time is charged to
-    /// the `ship` phase, and crashed-worker faults (with their stderr
-    /// tails) are journaled. Purely observational — runs after the cursor
-    /// has its answer and touches no search state.
-    fn fold_telemetry(&mut self) {
-        self.engine
-            .journal
-            .record_phase(PhaseKind::Ship, self.pool.ship_nanos());
-        for fault in self.pool.take_faults() {
-            self.engine.journal.record_worker_fault(fault);
+    fn submit(&mut self, n: u32, r: u32) {
+        debug_assert!(self.landed.is_none(), "inline executor is busy");
+        self.landed = Some(self.run(n, r));
+    }
+
+    fn wait(&mut self) -> Option<Landed> {
+        self.landed.take()
+    }
+
+    fn finish(self) -> Vec<Landed> {
+        Vec::new()
+    }
+}
+
+/// A team of scoped worker threads fed by a channel. Replications of one
+/// count share a cancel flag, so a glitching replication still truncates
+/// its higher-indexed siblings; the search-wide abort flag, raised in
+/// [`ProbeExecutor::finish`], makes in-flight speculative runs give up.
+struct Threads {
+    workers: usize,
+    inflight: usize,
+    jobs: mpsc::Sender<(u32, u32, Arc<AtomicU32>)>,
+    landed: mpsc::Receiver<std::thread::Result<Landed>>,
+    cancels: HashMap<u32, Arc<AtomicU32>>,
+    abort: Arc<AtomicBool>,
+}
+
+impl Threads {
+    fn spawn<'scope, 'env>(
+        scope: &'scope std::thread::Scope<'scope, 'env>,
+        plan: &'env ProbePlan<'env>,
+        workers: usize,
+    ) -> Self {
+        let (jobs, queue) = mpsc::channel::<(u32, u32, Arc<AtomicU32>)>();
+        let (done, landed) = mpsc::channel();
+        let queue = Arc::new(Mutex::new(queue));
+        let abort = Arc::new(AtomicBool::new(false));
+        for _ in 0..workers {
+            let (queue, done, abort) = (Arc::clone(&queue), done.clone(), Arc::clone(&abort));
+            scope.spawn(move || loop {
+                // The queue lock is released at the end of this statement,
+                // before the run, so workers simulate concurrently.
+                let job = queue.lock().expect("job queue poisoned").recv();
+                let Ok((n, r, cancel)) = job else { return };
+                // A panicking run is handed to the search thread, which
+                // re-raises it instead of waiting for a landing forever.
+                let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    plan.simulate_probe(n, r, &cancel, &abort)
+                }));
+                if done.send(ran).is_err() {
+                    return;
+                }
+            });
         }
-        let telemetry = self.pool.take_telemetry();
-        let dropped = self.pool.telemetry_dropped();
-        if telemetry.is_empty() && dropped == 0 {
-            return;
+        Threads {
+            workers,
+            inflight: 0,
+            jobs,
+            landed,
+            cancels: HashMap::new(),
+            abort,
         }
+    }
+}
+
+impl ProbeExecutor for Threads {
+    fn idle(&self) -> usize {
+        self.workers - self.inflight
+    }
+
+    fn submit(&mut self, n: u32, r: u32) {
+        let cancel = self
+            .cancels
+            .entry(n)
+            .or_insert_with(|| Arc::new(AtomicU32::new(u32::MAX)));
+        self.jobs
+            .send((n, r, Arc::clone(cancel)))
+            .expect("search workers outlive the search");
+        self.inflight += 1;
+    }
+
+    fn wait(&mut self) -> Option<Landed> {
+        self.inflight = self.inflight.checked_sub(1)?;
+        let ran = self
+            .landed
+            .recv()
+            .expect("search workers outlive the search");
+        Some(ran.unwrap_or_else(|panic| resume_unwind(panic)))
+    }
+
+    fn finish(self) -> Vec<Landed> {
+        self.abort.store(true, Ordering::Relaxed);
+        // Closing the job channel lets every worker exit after its current
+        // run, which closes the landing channel in turn.
+        drop(self.jobs);
+        self.landed
+            .iter()
+            .map(|ran| ran.unwrap_or_else(|panic| resume_unwind(panic)))
+            .collect()
+    }
+}
+
+/// A [`ProcessPool`] of `spiffi-worker` children. Warm jobs carry a
+/// serialized base snapshot, built once per replication and shipped by the
+/// pool once per worker incarnation. A job the pool quarantines — and
+/// every job when the pool has no worker at all — runs through [`Inline`]
+/// instead. Retries, respawns, shipping and worker telemetry are folded
+/// into the engine's journal in [`ProbeExecutor::finish`].
+///
+/// Every job is a standalone replication (fresh cancel flag, never
+/// truncated), so its outcome is the deterministic clean one whichever
+/// worker incarnation computed it, or whether the fallback did.
+struct Processes<'a> {
+    plan: &'a ProbePlan<'a>,
+    pool: ProcessPool,
+    /// Jobs submitted to the pool that it has not handed back.
+    pool_jobs: usize,
+    /// Serialized snapshot frames by replication index (the fingerprint
+    /// and base are fixed for one search), each built at most once, with
+    /// the base prefix's event count for the journal's saved-events
+    /// accounting on reuse.
+    blobs: HashMap<u32, (Arc<SnapshotBlob>, u64)>,
+    fallback: Inline<'a>,
+}
+
+impl<'a> Processes<'a> {
+    fn new(plan: &'a ProbePlan<'a>, pool: ProcessPool) -> Self {
+        Processes {
+            plan,
+            pool,
+            pool_jobs: 0,
+            blobs: HashMap::new(),
+            fallback: Inline::new(plan),
+        }
+    }
+
+    /// The serialized base-prefix snapshot frame to ship alongside a job
+    /// at `(n, r)`, if warm forking applies. The first consultation per
+    /// replication serializes the engine's base snapshot; repeats reuse
+    /// the frame. Every consultation is journaled as a snapshot capture or
+    /// hit so the warm-path counters stay meaningful under workers.
+    fn snapshot_blob(&mut self, n: u32, r: u32) -> Option<Arc<SnapshotBlob>> {
+        let b = self.plan.fork_base(n)?;
+        if let Some((blob, prefix_events)) = self.blobs.get(&r) {
+            self.plan
+                .journal()
+                .record_snapshot(true, n - b, *prefix_events);
+            return Some(Arc::clone(blob));
+        }
+        let snap = self.plan.base_snapshot(b, n, r);
+        let blob = self.plan.timed(PhaseKind::Capture, || {
+            Arc::new(SnapshotBlob::new(b, r, &snap.snap_export()))
+        });
+        self.blobs
+            .insert(r, (Arc::clone(&blob), snap.events_processed()));
+        Some(blob)
+    }
+}
+
+impl ProbeExecutor for Processes<'_> {
+    fn idle(&self) -> usize {
+        match self.pool.idle_workers() {
+            0 if self.pool_jobs == 0 => self.fallback.idle(),
+            idle => idle,
+        }
+    }
+
+    fn submit(&mut self, n: u32, r: u32) {
+        if self.pool.idle_workers() == 0 {
+            // A pool with no worker to take the job.
+            return self.fallback.submit(n, r);
+        }
+        let blob = self.snapshot_blob(n, r);
+        self.pool.submit(n, r, self.plan.base, &self.plan.cfg, blob);
+        self.pool_jobs += 1;
+    }
+
+    fn wait(&mut self) -> Option<Landed> {
+        if let Some(landed) = self.fallback.wait() {
+            return Some(landed);
+        }
+        while self.pool_jobs > 0 {
+            // `None` with jobs outstanding: the pool quarantined them
+            // while dispatching, and hands them back on the next call.
+            let Some(resolved) = self.pool.wait_one() else {
+                continue;
+            };
+            self.pool_jobs -= 1;
+            let (n, r) = (resolved.terminals, resolved.replication);
+            // Quarantined after its attempts: the job is poisoned as far
+            // as the pool is concerned, but its outcome is still required
+            // and deterministic.
+            let Some(out) = resolved.outcome else {
+                return Some(self.fallback.run(n, r));
+            };
+            // With telemetry on, the worker's own span deltas carry a
+            // finer-grained simulate wall; without it, the job's reported
+            // wall is the best available simulate-phase estimate.
+            if self.plan.engine.telemetry.is_none() {
+                self.plan
+                    .journal()
+                    .record_phase(PhaseKind::Simulate, out.wall_nanos);
+            }
+            return Some(Landed {
+                glitches: out.glitches,
+                run: ProbeRun {
+                    terminals: n,
+                    replication: r,
+                    cached: false,
+                    clean: true,
+                    worker: true,
+                    events: out.events,
+                    wall_nanos: out.wall_nanos,
+                },
+            });
+        }
+        None
+    }
+
+    /// Fold what the pool observed into the engine: worker activity and
+    /// snapshot shipping counters, shipping time as the `ship` phase,
+    /// crashed-worker faults with their stderr tails, and telemetry frames
+    /// as [`WorkerStream`]s stashed for [`Engine::take_worker_telemetry`],
+    /// their journal deltas landing in the per-phase wall-time breakdown.
+    /// Purely observational. Jobs still on workers are abandoned with the
+    /// pool.
+    fn finish(mut self) -> Vec<Landed> {
+        let journal = self.plan.journal();
+        let pool = &mut self.pool;
+        journal.record_worker_activity(pool.retries(), pool.respawns(), pool.quarantined());
+        journal.record_snapshot_shipping(pool.snapshot_bytes_shipped(), pool.worker_forks());
+        journal.record_phase(PhaseKind::Ship, pool.ship_nanos());
+        for fault in pool.take_faults() {
+            journal.record_worker_fault(fault);
+        }
+        let telemetry = pool.take_telemetry();
+        let dropped = pool.telemetry_dropped();
         let frames = telemetry.len() as u64;
         let mut samples_total = 0u64;
         let mut streams = Vec::with_capacity(telemetry.len());
@@ -1547,15 +1330,9 @@ impl<'a> ProcessSearch<'a> {
             let rec = wt.record;
             samples_total += rec.samples.len() as u64;
             let d = &rec.delta;
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Import, d.import_wall_nanos);
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Fork, d.fork_wall_nanos);
-            self.engine
-                .journal
-                .record_phase(PhaseKind::Simulate, d.simulate_wall_nanos);
+            journal.record_phase(PhaseKind::Import, d.import_wall_nanos);
+            journal.record_phase(PhaseKind::Fork, d.fork_wall_nanos);
+            journal.record_phase(PhaseKind::Simulate, d.simulate_wall_nanos);
             streams.push(WorkerStream {
                 terminals: wt.terminals,
                 replication: wt.replication,
@@ -1587,28 +1364,14 @@ impl<'a> ProcessSearch<'a> {
                     .collect(),
             });
         }
-        self.engine
-            .journal
-            .record_telemetry(frames, samples_total, dropped);
-        self.engine
+        journal.record_telemetry(frames, samples_total, dropped);
+        self.plan
+            .engine
             .worker_telemetry
             .lock()
             .unwrap()
             .append(&mut streams);
-    }
-
-    /// The first replication the cursor's own pending probe is missing —
-    /// the progress guarantee when the pool is fully degraded.
-    fn first_missing_pair(&mut self) -> Option<(u32, u32)> {
-        let n = self.cursor.pending()?;
-        for r in 0..self.replications {
-            match self.lookup(n, r) {
-                Some(out) if out.glitches > 0 => return None,
-                Some(_) => {}
-                None => return Some((n, r)),
-            }
-        }
-        None
+        Vec::new()
     }
 }
 
@@ -2017,6 +1780,91 @@ mod tests {
             "a warm search must not simulate (and cache) new pairs"
         );
     }
+
+    /// A legacy-timing plan over `engine`'s (empty) probe cache.
+    fn plain_plan(engine: &Engine) -> ProbePlan<'_> {
+        let fp = Arc::from("frontier");
+        ProbePlan {
+            engine,
+            cfg: tiny(),
+            fp,
+            base: None,
+            warm: false,
+        }
+    }
+
+    #[test]
+    fn frontier_yields_pending_then_glitch_branch_then_clean_branch() {
+        let engine = Engine::with_threads(1);
+        let plan = plain_plan(&engine);
+        let search = CapacitySearch {
+            lo: 20,
+            hi: 60,
+            step: 10,
+            replications: 2,
+        };
+        let mut s = SearchLoop::new(&plan, &search);
+        // Capacity 1: exactly the cursor's own pending pair.
+        assert_eq!(s.frontier(1), vec![(20, 0)]);
+        assert!(s.frontier(0).is_empty());
+        // Wider: the pending count's replications, then the walk-down
+        // count its glitch would lead to, then the upper bracket its
+        // clean outcome would lead to.
+        assert_eq!(
+            s.frontier(6),
+            vec![(20, 0), (20, 1), (10, 0), (10, 1), (60, 0), (60, 1)]
+        );
+        // In-flight pairs are never yielded again.
+        s.inflight.insert((20, 0));
+        s.inflight.insert((10, 1));
+        assert_eq!(s.frontier(1), vec![(20, 1)]);
+        assert_eq!(s.frontier(4), vec![(20, 1), (10, 0), (60, 0), (60, 1)]);
+        assert!(engine.probe_cache().is_empty());
+    }
+
+    #[test]
+    fn frontier_examines_at_most_max_frontier_counts() {
+        let engine = Engine::with_threads(1);
+        let plan = plain_plan(&engine);
+        let search = CapacitySearch {
+            lo: 1,
+            hi: 1 << 20,
+            step: 1,
+            replications: 1,
+        };
+        let picked = SearchLoop::new(&plan, &search).frontier(usize::MAX);
+        let counts: HashSet<u32> = picked.iter().map(|&(n, _)| n).collect();
+        assert_eq!(counts.len(), picked.len(), "one replication per count");
+        assert_eq!(counts.len(), MAX_FRONTIER);
+    }
+
+    #[test]
+    fn confident_capacity_replicates_and_converges() {
+        let params = ConfidentCapacity {
+            search: CapacitySearch {
+                lo: 2,
+                hi: 40,
+                step: 2,
+                replications: 1,
+            },
+            min_replications: 3,
+            max_replications: 6,
+            ..ConfidentCapacity::default()
+        };
+        let r = capacity_with_confidence(&tiny(), &params);
+        assert!(r.estimates.len() >= 3);
+        assert!(r.estimates.len() <= 6);
+        assert!((4..=24).contains(&r.max_terminals), "capacity {r:?}");
+        // The answer lies on the step grid.
+        assert_eq!(r.max_terminals % 2, 0);
+        // Per-seed estimates bracket the reported mean.
+        let min = *r.estimates.iter().min().unwrap();
+        let max = *r.estimates.iter().max().unwrap();
+        assert!(min <= r.max_terminals && r.max_terminals <= max + 2);
+        if r.converged {
+            assert!(r.ci_half_width <= 0.05 * r.max_terminals as f64 + 1e-9);
+        }
+    }
 }
 
 /// The paper's §7.1 stopping rule: "we ran each experiment until we were
@@ -2077,54 +1925,4 @@ pub fn capacity_with_confidence(
     params: &ConfidentCapacity,
 ) -> ConfidentCapacityResult {
     Engine::new().capacity_with_confidence(cfg, params)
-}
-
-#[cfg(test)]
-mod confidence_tests {
-    use super::*;
-    use spiffi_simcore::SimDuration;
-
-    fn tiny() -> SystemConfig {
-        let mut c = SystemConfig::small_test();
-        c.topology = spiffi_layout::Topology {
-            nodes: 1,
-            disks_per_node: 1,
-        };
-        c.n_videos = 40;
-        c.access = spiffi_mpeg::AccessPattern::Uniform;
-        c.video.duration = SimDuration::from_secs(60);
-        c.server_memory_bytes = 16 * 1024 * 1024;
-        c.timing.stagger = SimDuration::from_secs(5);
-        c.timing.warmup = SimDuration::from_secs(10);
-        c.timing.measure = SimDuration::from_secs(30);
-        c
-    }
-
-    #[test]
-    fn confident_capacity_replicates_and_converges() {
-        let params = ConfidentCapacity {
-            search: CapacitySearch {
-                lo: 2,
-                hi: 40,
-                step: 2,
-                replications: 1,
-            },
-            min_replications: 3,
-            max_replications: 6,
-            ..ConfidentCapacity::default()
-        };
-        let r = capacity_with_confidence(&tiny(), &params);
-        assert!(r.estimates.len() >= 3);
-        assert!(r.estimates.len() <= 6);
-        assert!((4..=24).contains(&r.max_terminals), "capacity {r:?}");
-        // The answer lies on the step grid.
-        assert_eq!(r.max_terminals % 2, 0);
-        // Per-seed estimates bracket the reported mean.
-        let min = *r.estimates.iter().min().unwrap();
-        let max = *r.estimates.iter().max().unwrap();
-        assert!(min <= r.max_terminals && r.max_terminals <= max + 2);
-        if r.converged {
-            assert!(r.ci_half_width <= 0.05 * r.max_terminals as f64 + 1e-9);
-        }
-    }
 }

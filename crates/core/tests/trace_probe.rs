@@ -7,8 +7,8 @@
 //! window aggregates.
 
 use spiffi_core::{
-    replication_seed, run_once, CapacitySearch, Engine, Sampler, SystemConfig, TraceRecorder,
-    VodSystem,
+    replication_seed, run_once, CapacitySearch, Engine, ProcessConfig, Sampler, SystemConfig,
+    TraceRecorder, VodSystem,
 };
 use spiffi_simcore::{SimDuration, SimTime};
 use spiffi_trace::export;
@@ -163,4 +163,45 @@ fn engine_journal_accounts_for_every_probe() {
     let json = journal.to_json();
     assert!(json.contains("\"searches\": 2"));
     assert!(json.contains("\"cached\": true"));
+}
+
+/// A journaled cache hit means "the search counted a pair an earlier
+/// search had simulated" — once per pair per search, whichever executor
+/// ran. Speculative peeks at cached pairs and the second count of a
+/// degenerate `lo == hi` bracket are not hits.
+#[test]
+fn journal_cache_hits_do_not_depend_on_the_executor() {
+    let c = cfg();
+    let degenerate = CapacitySearch {
+        lo: 4,
+        hi: 4,
+        step: 4,
+        replications: 1,
+    };
+    let search = CapacitySearch {
+        lo: 4,
+        hi: 16,
+        step: 4,
+        replications: 2,
+    };
+    let workers = ProcessConfig::new(2, env!("CARGO_BIN_EXE_spiffi-worker").into());
+    let engines = [
+        ("1 thread", Engine::with_threads(1)),
+        ("8 threads", Engine::with_threads(8)),
+        ("2 workers", Engine::with_threads(1).with_process(workers)),
+    ];
+    let hits: Vec<(&str, u64)> = engines
+        .iter()
+        .map(|(name, engine)| {
+            let first = engine.max_glitch_free_terminals(&c, &degenerate);
+            assert_eq!(first.probes.len(), 2, "{name}: lo == hi probes twice");
+            engine.max_glitch_free_terminals(&c, &search);
+            engine.max_glitch_free_terminals(&c, &search);
+            (*name, engine.journal().snapshot().cache_hits())
+        })
+        .collect();
+    assert!(hits[0].1 > 0, "the repeated search must hit the cache");
+    for &(name, h) in &hits[1..] {
+        assert_eq!(h, hits[0].1, "{name} journaled different cache hits");
+    }
 }
