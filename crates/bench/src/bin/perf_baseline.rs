@@ -563,11 +563,13 @@ fn main() {
         speculative.capacity, current.capacity,
         "speculative search must reproduce the legacy capacity"
     );
-    let spec_speedup = parallel.wall_seconds / speculative.wall_seconds;
+    // The warm passes replay from the probe cache: this ratio times the
+    // cache, not the simulator.
+    let spec_replay = parallel.wall_seconds / speculative.wall_seconds;
     println!(
         "speculative ({threads} thread(s)): cold: {:.3} s (waste: {} events)   \
          warm: {:.3} s   events: {}   capacity: {} terminals   \
-         speedup vs parallel section: {spec_speedup:.2}x",
+         cache-replay speedup: {spec_replay:.2}x",
         speculative.cold_wall_seconds,
         speculative.speculative_events,
         speculative.wall_seconds,
@@ -603,11 +605,11 @@ fn main() {
         snap_journal.snapshot_hits > 0,
         "the warm search never forked a captured snapshot"
     );
-    let snap_speedup = parallel.wall_seconds / snapshot.wall_seconds;
+    let snap_replay = parallel.wall_seconds / snapshot.wall_seconds;
     println!(
         "snapshot ({threads} thread(s), warm forks): cold: {:.3} s   warm: {:.3} s   \
          events: {}   capacity: {} terminals   {} captures / {} forks \
-         ({} base-prefix events saved)   speedup vs parallel section: {snap_speedup:.2}x",
+         ({} base-prefix events saved)   cache-replay speedup: {snap_replay:.2}x",
         snapshot.cold_wall_seconds,
         snapshot.wall_seconds,
         snapshot.events_processed,
@@ -728,20 +730,20 @@ fn main() {
         "  \"speculative\": {{\n    \"threads\": {threads},\n    \
          \"cold_wall_seconds\": {},\n    \"speculative_events\": {},\n    \
          \"wall_seconds\": {},\n    \"events_processed\": {},\n    \
-         \"capacity_terminals\": {},\n    \"speedup_vs_parallel\": {},\n    \
+         \"capacity_terminals\": {},\n    \"cache_replay_speedup\": {},\n    \
          \"counted_matches_sequential\": true\n  }},\n",
         f64_fixed(speculative.cold_wall_seconds, 4),
         speculative.speculative_events,
         f64_fixed(speculative.wall_seconds, 4),
         speculative.events_processed,
         speculative.capacity,
-        f64_fixed(spec_speedup, 4)
+        f64_fixed(spec_replay, 4)
     ));
     json.push_str(&format!(
         "  \"snapshot\": {{\n    \"threads\": {threads},\n    \
          \"cold_wall_seconds\": {},\n    \"wall_seconds\": {},\n    \
          \"events_processed\": {},\n    \"capacity_terminals\": {},\n    \
-         \"speedup_vs_parallel\": {},\n    \
+         \"cache_replay_speedup\": {},\n    \
          \"snapshot_captures\": {},\n    \"snapshot_hits\": {},\n    \
          \"forked_terminals\": {},\n    \"snapshot_saved_events\": {},\n    \
          \"counted_matches_sequential\": true\n  }},\n",
@@ -749,7 +751,7 @@ fn main() {
         f64_fixed(snapshot.wall_seconds, 4),
         snapshot.events_processed,
         snapshot.capacity,
-        f64_fixed(snap_speedup, 4),
+        f64_fixed(snap_replay, 4),
         snap_journal.snapshot_captures,
         snap_journal.snapshot_hits,
         snap_journal.forked_terminals,

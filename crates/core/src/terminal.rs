@@ -118,9 +118,9 @@ pub struct Terminal {
     next_pause_frame: u64,
     /// Memoized bulk-advance bound: first frame not fully inside the
     /// contiguous prefix, valid while `contiguous_end == data_stop_end`
-    /// (`u64::MAX` = stale). `frame_at_byte` is a binary search over the
-    /// frame index; the prefix only moves on block arrival, so caching it
-    /// keeps that search off the per-pump path.
+    /// (`u64::MAX` = stale). The prefix only moves on block arrival, so
+    /// caching it keeps `frame_at_byte` off the per-pump path, in the
+    /// bulk advance and in `next_wake`'s dry-data wake alike.
     data_stop: u64,
     data_stop_end: u64,
     blocks_received: u64,
@@ -504,7 +504,13 @@ impl Terminal {
                 // Moment the contiguous data runs dry (potential glitch),
                 // or the end of the title if everything is buffered.
                 if self.contiguous_end < total {
-                    let dry_frame = video.frame_at_byte(self.contiguous_end);
+                    // The bulk advance usually just memoized this lookup.
+                    let dry_frame = if self.data_stop_end == self.contiguous_end {
+                        self.data_stop
+                    } else {
+                        video.frame_at_byte(self.contiguous_end)
+                    };
+                    debug_assert_eq!(dry_frame, video.frame_at_byte(self.contiguous_end));
                     consider(display_time(video, origin, self.base_frame, dry_frame));
                 } else {
                     consider(display_time(video, origin, self.base_frame, num_frames));

@@ -71,8 +71,18 @@ impl VideoParams {
     }
 }
 
+/// Title bytes covered by one entry of [`Video`]'s slot index, as a
+/// power of two: 256 KiB, about one GOP at the paper's 4 Mbit/s.
+const SLOT_SHIFT: u32 = 18;
+
 /// One video title: a deterministic sequence of I/P/B frames with
 /// exponentially distributed sizes, indexed at GOP granularity.
+///
+/// The byte index is two-level. `gop_cum` holds the `u64` title offset of
+/// every GOP; `frame_end` holds each frame's `u32` end offset within its
+/// GOP. A byte→frame lookup reads the slot index for the byte's GOP,
+/// steps past any GOP that ends at or before the byte, then counts the
+/// frames of that one GOP row that end at or before it.
 #[derive(Clone, Debug)]
 pub struct Video {
     id: VideoId,
@@ -82,11 +92,13 @@ pub struct Video {
     /// `gop_cum[g]` = total bytes of all frames before GOP `g`;
     /// `gop_cum[ngops]` = total title bytes.
     gop_cum: Vec<u64>,
-    /// `frame_cum[f]` = total bytes of frames `[0, f)`;
-    /// `frame_cum[num_frames]` = total title bytes. Precomputed once so the
-    /// per-frame lookups on the simulation hot path (deadlines, wake times,
-    /// glitch checks) never regenerate a GOP's frame sizes.
-    frame_cum: Vec<u64>,
+    /// `frame_end[f]` = bytes of frames `[g·GOP_LEN, f]` for frame `f` of
+    /// GOP `g`: frame `f`'s end offset within its GOP. Precomputed once so
+    /// the per-frame lookups on the simulation hot path (deadlines, wake
+    /// times, glitch checks) never regenerate a GOP's frame sizes.
+    frame_end: Vec<u32>,
+    /// `slot_gop[s]` = the GOP holding title byte `s << SLOT_SHIFT`.
+    slot_gop: Vec<u32>,
     num_frames: u64,
 }
 
@@ -102,31 +114,41 @@ impl Video {
         let pattern = GopPattern::for_bit_rate(params.bit_rate_bps, params.fps);
         let num_frames = params.num_frames();
         let ngops = num_frames.div_ceil(GOP_LEN as u64);
-        let mut gop_cum = Vec::with_capacity(ngops as usize + 1);
-        let mut frame_cum = Vec::with_capacity(num_frames as usize + 1);
-        let mut acc = 0u64;
-        gop_cum.push(0);
-        frame_cum.push(0);
         let mut v = Video {
             id,
             seed,
             params,
             pattern,
             gop_cum: Vec::new(),
-            frame_cum: Vec::new(),
+            frame_end: Vec::new(),
+            slot_gop: Vec::new(),
             num_frames,
         };
+        let mut gop_cum = Vec::with_capacity(ngops as usize + 1);
+        let mut frame_end = Vec::with_capacity(num_frames as usize);
+        let mut slot_gop = Vec::new();
+        let mut acc = 0u64;
+        gop_cum.push(0);
         for g in 0..ngops {
             let sizes = v.gop_frame_sizes(g);
-            let frames_in_gop = gop_frames(num_frames, g);
-            for &s in &sizes[..frames_in_gop] {
-                acc += s;
-                frame_cum.push(acc);
+            let mut end = 0u64;
+            for &s in &sizes[..gop_frames(num_frames, g)] {
+                end += s;
+                frame_end.push(end as u32);
             }
+            // Offsets grow within a GOP: if its total fits, every one did.
+            u32::try_from(end).expect("GOP larger than 4 GiB");
+            acc += end;
             gop_cum.push(acc);
+            // Every slot starting inside this GOP points at it.
+            let g32 = u32::try_from(g).expect("title has more than 2^32 GOPs");
+            while ((slot_gop.len() as u64) << SLOT_SHIFT) < acc {
+                slot_gop.push(g32);
+            }
         }
         v.gop_cum = gop_cum;
-        v.frame_cum = frame_cum;
+        v.frame_end = frame_end;
+        v.slot_gop = slot_gop;
         v
     }
 
@@ -174,8 +196,24 @@ impl Video {
     }
 
     /// Bytes occupied by frames `[0, f)`.
+    #[inline]
     pub fn cum_bytes_at_frame(&self, f: u64) -> u64 {
-        self.frame_cum[f.min(self.num_frames) as usize]
+        let f = f.min(self.num_frames);
+        let g = f / GOP_LEN as u64;
+        let within = match f % GOP_LEN as u64 {
+            0 => 0,
+            _ => self.frame_end[f as usize - 1] as u64,
+        };
+        self.gop_cum[g as usize] + within
+    }
+
+    /// The frames of GOP `g` as end offsets within the GOP (shorter than
+    /// `GOP_LEN` only for a partial final GOP).
+    #[inline]
+    fn gop_row(&self, g: u64) -> &[u32] {
+        let start = g as usize * GOP_LEN;
+        let end = (start + GOP_LEN).min(self.frame_end.len());
+        &self.frame_end[start..end]
     }
 
     /// The frame containing byte offset `byte` (clamped to the last frame
@@ -185,8 +223,25 @@ impl Video {
         if byte >= self.total_bytes() {
             return self.num_frames.saturating_sub(1);
         }
-        // First frame whose through-frame cumulative exceeds `byte`.
-        self.frame_cum.partition_point(|&c| c <= byte) as u64 - 1
+        // `byte` lies in a GOP between the one holding its slot's first
+        // byte and the one holding the next slot's: at the paper's bit
+        // rate the same GOP or its successor.
+        let slot = (byte >> SLOT_SHIFT) as usize;
+        let lo = self.slot_gop[slot] as usize;
+        let hi = self
+            .slot_gop
+            .get(slot + 1)
+            .map_or(self.num_gops() as usize - 1, |&g| g as usize);
+        let g = lo + self.gop_cum[lo + 1..=hi].partition_point(|&c| c <= byte);
+        // `byte` lies inside GOP `g`, so its offset fits the row's `u32`
+        // and is below the row's last end: the count is a frame of `g`.
+        let offset = (byte - self.gop_cum[g]) as u32;
+        let ended = self
+            .gop_row(g as u64)
+            .iter()
+            .filter(|&&e| e <= offset)
+            .count();
+        (g * GOP_LEN + ended) as u64
     }
 
     /// Display instant of frame `f`, as an offset from playback start.
@@ -262,19 +317,17 @@ impl PlayCursor {
     }
 
     fn load_gop(&mut self, video: &Video, g: u64) {
-        // Slice the precomputed per-frame index instead of regenerating
-        // the GOP's sizes. A partial final GOP has no entries past the
-        // last real frame; pad with the last value (those slots are never
-        // read while the cursor is in bounds).
-        let start = (g * GOP_LEN as u64) as usize;
-        let present = gop_frames(video.num_frames, g);
+        // Copy the precomputed GOP row instead of regenerating the GOP's
+        // sizes. A partial final GOP has no entries past the last real
+        // frame; pad with the last value (those slots are never read
+        // while the cursor is in bounds).
+        let row = video.gop_row(g);
         self.gop_base = video.gop_cum[g as usize];
         self.within_cum[0] = 0;
         for i in 1..=GOP_LEN {
-            self.within_cum[i] = if i <= present {
-                video.frame_cum[start + i] - self.gop_base
-            } else {
-                self.within_cum[present]
+            self.within_cum[i] = match row.get(i - 1) {
+                Some(&end) => end as u64,
+                None => self.within_cum[i - 1],
             };
         }
         self.gop_idx = g;
@@ -385,6 +438,17 @@ mod tests {
         let v = Video::generate(VideoId(0), VideoParams::default(), 7);
         let gb = v.total_bytes() as f64 / 1e9;
         assert!((1.75..1.85).contains(&gb), "size {gb} GB");
+    }
+
+    #[test]
+    fn hour_long_title_tables_stay_compact() {
+        // Per frame one u32 offset, per GOP one u64 base, per 256 KiB one
+        // u32 slot entry: ~517 KB. A u64 per frame alone would be 864 KB.
+        let v = Video::generate(VideoId(0), VideoParams::default(), 7);
+        let bytes = v.gop_cum.len() * size_of::<u64>()
+            + v.frame_end.len() * size_of::<u32>()
+            + v.slot_gop.len() * size_of::<u32>();
+        assert!(bytes <= 560_000, "{bytes} table bytes");
     }
 
     #[test]

@@ -136,3 +136,148 @@ fn bit_rate_within_tolerance() {
         );
     }
 }
+
+/// Title bytes per entry of the video's slot index; the oracle tests
+/// probe both sides of every multiple.
+const SLOT_BYTES: u64 = 1 << 18;
+
+/// The reference byte index: `cum[f]` = bytes of frames `[0, f)`, summed
+/// straight from the regenerated GOP frame sizes in `u64`.
+fn oracle_prefix_sums(video: &Video) -> Vec<u64> {
+    let frames = video.num_frames();
+    let mut cum = Vec::with_capacity(frames as usize + 1);
+    cum.push(0);
+    let mut acc = 0u64;
+    for g in 0..video.num_gops() {
+        for s in video.gop_frame_sizes(g) {
+            if cum.len() as u64 > frames {
+                break;
+            }
+            acc += s;
+            cum.push(acc);
+        }
+    }
+    cum
+}
+
+/// The frame holding `byte` by binary search over the reference index,
+/// clamped to the last frame at or past the end of the title.
+fn oracle_frame_at_byte(cum: &[u64], byte: u64) -> u64 {
+    let frames = cum.len() as u64 - 1;
+    if byte >= cum[cum.len() - 1] {
+        return frames.saturating_sub(1);
+    }
+    cum.partition_point(|&c| c <= byte) as u64 - 1
+}
+
+/// Check `video`'s byte index against the reference at every frame, at
+/// every slot boundary and every GOP boundary ±1 byte, and walk a cursor
+/// through the whole title.
+fn check_against_oracle(label: &str, video: &Video) {
+    let cum = oracle_prefix_sums(video);
+    let frames = video.num_frames();
+    assert_eq!(cum.len() as u64, frames + 1, "{label}");
+    assert_eq!(video.total_bytes(), cum[frames as usize], "{label}");
+    for f in 0..=frames + 1 {
+        let want = cum[f.min(frames) as usize];
+        assert_eq!(video.cum_bytes_at_frame(f), want, "{label}: frame {f}");
+    }
+    let total = video.total_bytes();
+    let slots = (0..=total.div_ceil(SLOT_BYTES)).map(|s| s * SLOT_BYTES);
+    let gops = (0..=video.num_gops()).map(|g| video.cum_bytes_at_frame(g * 15));
+    for edge in slots.chain(gops) {
+        for byte in [edge.saturating_sub(1), edge, edge + 1] {
+            assert_eq!(
+                video.frame_at_byte(byte),
+                oracle_frame_at_byte(&cum, byte),
+                "{label}: byte {byte}"
+            );
+        }
+    }
+    let mut cursor = PlayCursor::new(video, 0);
+    for f in 0..frames {
+        assert_eq!(cursor.bytes_before_frame(), cum[f as usize], "{label}");
+        assert_eq!(cursor.bytes_through_frame(), cum[f as usize + 1], "{label}");
+        cursor.advance(video);
+    }
+    assert!(cursor.at_end(video), "{label}");
+    // Seeks land on GOP boundaries from either direction.
+    for g in (0..video.num_gops()).rev() {
+        let f = g * 15;
+        cursor.seek(video, f);
+        assert_eq!(cursor.bytes_before_frame(), cum[f as usize], "{label}");
+    }
+}
+
+fn title(millis: u64, bit_rate_bps: u64, seed: u64) -> Video {
+    Video::generate(
+        VideoId(seed as u32),
+        VideoParams {
+            bit_rate_bps,
+            duration: SimDuration::from_millis(millis),
+            ..VideoParams::default()
+        },
+        seed,
+    )
+}
+
+/// Hour-long titles at the paper's 4 Mbit/s: about one GOP per slot.
+#[test]
+fn hour_long_titles_match_the_oracle() {
+    for seed in [7u64, 0x5b1ff1] {
+        let v = title(3_600_000, 4_000_000, seed);
+        check_against_oracle(&format!("hour seed {seed}"), &v);
+    }
+}
+
+/// A title over 4 GiB: the `u64` GOP bases exceed `u32`, while each
+/// frame's offset within its GOP still fits one. At 40 Mbit/s a GOP
+/// spans about ten slots.
+#[test]
+fn title_over_4_gib_matches_the_oracle() {
+    let v = title(900_000, 40_000_000, 3);
+    assert!(v.total_bytes() > u32::MAX as u64, "{}", v.total_bytes());
+    check_against_oracle("4 GiB", &v);
+}
+
+/// A title shorter than one slot, which is also one partial GOP.
+#[test]
+fn title_shorter_than_one_slot_matches_the_oracle() {
+    let v = title(400, 4_000_000, 11);
+    assert!(v.total_bytes() < SLOT_BYTES, "{}", v.total_bytes());
+    assert_eq!(v.num_frames(), 12);
+    check_against_oracle("sub-slot", &v);
+}
+
+/// A title of exactly two slots. At 1 bit/s every exponential frame size
+/// rounds to zero and is floored to one byte, so 2^19 frames make
+/// 2^19 bytes — thousands of GOPs per slot, and a partial final GOP
+/// (2^19 = 15·34 952 + 8).
+#[test]
+fn title_of_exact_slot_multiple_matches_the_oracle() {
+    let frames = 2 * SLOT_BYTES;
+    let v = Video::generate(
+        VideoId(0),
+        VideoParams {
+            bit_rate_bps: 1,
+            fps: 30,
+            duration: SimDuration((frames * 1_000_000_000).div_ceil(30)),
+        },
+        5,
+    );
+    assert_eq!(v.num_frames(), frames);
+    assert_eq!(v.total_bytes(), frames);
+    assert_eq!(v.num_frames() % 15, 8);
+    check_against_oracle("exact slots", &v);
+}
+
+/// Short titles ending in a partial GOP of every possible length.
+#[test]
+fn partial_final_gops_match_the_oracle() {
+    for extra in 1..15u64 {
+        // 2 s = 60 frames = 4 whole GOPs; each extra frame is 1/30 s.
+        let v = title(2_000 + extra * 1000 / 30 + 1, 4_000_000, extra);
+        assert_eq!(v.num_frames(), 60 + extra);
+        check_against_oracle(&format!("partial {extra}"), &v);
+    }
+}
