@@ -19,8 +19,8 @@ use spiffi_mpeg::AccessPattern;
 use spiffi_simcore::SimDuration;
 
 /// The scale shape: 128 nodes × 4 disks, uniform access over 64
-/// one-minute titles, 32 MB of buffer per node, short schedule. Matches
-/// the `perf_baseline` scale section at its 4 096-terminal point.
+/// one-minute titles, 32 MB of buffer per node, short schedule. CI pins
+/// the one-thread output in `tests/expected/scale_determinism_t1.txt`.
 fn scale_config() -> SystemConfig {
     let mut c = SystemConfig::small_test();
     let nodes = 128;

@@ -115,6 +115,10 @@ fn warm_search_is_byte_identical_to_cold_at_every_thread_count() {
         let reference = Engine::with_threads(1)
             .with_snapshot_mode(SnapshotMode::Cold)
             .max_glitch_free_terminals(&cfg, &search);
+        assert_eq!(
+            reference.speculative_events, 0,
+            "the one-thread cold reference must not speculate"
+        );
         for threads in THREAD_COUNTS {
             for mode in [SnapshotMode::Cold, SnapshotMode::Warm] {
                 let engine = Engine::with_threads(threads).with_snapshot_mode(mode);
@@ -132,7 +136,12 @@ fn warm_search_is_byte_identical_to_cold_at_every_thread_count() {
                     "{mode:?} at {threads} threads changed the counted events for seed {seed:#x}"
                 );
                 assert_eq!(got.below_bracket, reference.below_bracket);
-                if mode == SnapshotMode::Warm {
+                if mode == SnapshotMode::Cold {
+                    assert!(
+                        engine.snapshot_cache().is_empty(),
+                        "a cold search captured a snapshot at {threads} threads"
+                    );
+                } else {
                     assert!(
                         engine.snapshot_cache().captures() > 0,
                         "the warm search never actually captured a snapshot"
