@@ -5,10 +5,11 @@
 //! end) through the experiment engine, printing only deterministic facts:
 //! glitch counts, event counts, capacities. CI invokes this binary under
 //! different engine shapes (`SPIFFI_THREADS=1` vs `8`, `SPIFFI_SNAPSHOT`
-//! modes) and event kernels (`SPIFFI_CAL_KERNEL=heap` vs the default
-//! bucket queue) and diffs the outputs byte-for-byte — the
-//! million-terminal scaling path gets the same determinism contract as
-//! the small configs in `examples/capacity_planning.rs`.
+//! modes) and diffs the outputs byte-for-byte — the million-terminal
+//! scaling path gets the same determinism contract as the small configs
+//! in `examples/capacity_planning.rs`. At this population the bucket-queue
+//! event kernel reshapes its wheel many times, so the pinned one-thread
+//! output also guards its pop order across builds.
 //!
 //! The one line that legitimately varies with engine shape is prefixed
 //! `experiment engine:` so the harness can filter it, mirroring the

@@ -88,19 +88,42 @@ pub fn replication_seed(base: u64, r: u32) -> u64 {
     base.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(r as u64 + 1))
 }
 
+/// Parse a `SPIFFI_THREADS` setting: unset or empty selects the default
+/// (`None`); a positive integer is the thread budget (whitespace-trimmed).
+/// Anything else — `0`, `abc`, `1.5` — is an error carrying the offending
+/// text: a typo in a one-thread run must not silently fan out over every
+/// core and skip the `Inline` executor it was meant to exercise.
+pub(crate) fn parse_threads_env(v: Option<&str>) -> Result<Option<usize>, String> {
+    let t = v.unwrap_or("").trim();
+    if t.is_empty() {
+        return Ok(None);
+    }
+    match t.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(t.to_string()),
+    }
+}
+
 /// Worker-thread budget for the experiment engine: the `SPIFFI_THREADS`
-/// environment variable when set to a positive integer (`1` = exact
-/// legacy sequential path), otherwise the machine's available parallelism.
+/// environment variable when set (`1` = exact legacy sequential path),
+/// otherwise the machine's available parallelism. A value that is not a
+/// positive integer is rejected with a diagnostic and a non-zero exit,
+/// matching the strict `SPIFFI_SNAPSHOT` parse.
 pub fn engine_threads() -> usize {
-    std::env::var("SPIFFI_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    let raw = std::env::var("SPIFFI_THREADS").ok();
+    match parse_threads_env(raw.as_deref()) {
+        Ok(Some(n)) => n,
+        Ok(None) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+        Err(bad) => {
+            eprintln!(
+                "spiffi: unknown SPIFFI_THREADS value {bad:?} \
+                 (expected a positive thread count)"
+            );
+            std::process::exit(2);
+        }
+    }
 }
 
 /// How capacity probes reuse the shared warm-up across terminal counts.
@@ -150,10 +173,9 @@ pub(crate) fn parse_snapshot_mode(v: Option<&str>) -> Result<SnapshotMode, Strin
 /// Snapshot mode from the `SPIFFI_SNAPSHOT` environment variable:
 /// `1`/`warm` selects [`SnapshotMode::Warm`], `cold` the from-scratch
 /// marginal reference, `0`/`off`/unset the legacy [`SnapshotMode::Off`].
-/// Any other value is rejected with a diagnostic and a non-zero exit —
-/// matching the strict `SPIFFI_CAL_KERNEL` parse — because an experiment
-/// silently running the wrong probe timeline is far worse than one that
-/// refuses to start.
+/// Any other value is rejected with a diagnostic and a non-zero exit,
+/// because an experiment silently running the wrong probe timeline is far
+/// worse than one that refuses to start.
 pub fn snapshot_mode_from_env() -> SnapshotMode {
     let raw = std::env::var("SPIFFI_SNAPSHOT").ok();
     match parse_snapshot_mode(raw.as_deref()) {
@@ -435,7 +457,7 @@ impl Engine {
         cfg: &SystemConfig,
         search: &CapacitySearch,
     ) -> CapacityResult {
-        assert!(search.step > 0 && search.lo <= search.hi);
+        assert!(search.step > 0 && search.lo <= search.hi && search.replications >= 1);
         // Warm forking needs the marginal terminals to join strictly
         // after the snapshot instant. With a zero stagger they would join
         // *at* the BeginMeasure tick and tie-break on schedule sequence —
@@ -1567,6 +1589,26 @@ mod tests {
         // need a fixed budget use `Engine::with_threads` instead, so here
         // we only check the parse without mutating the process env.
         assert!(engine_threads() >= 1);
+    }
+
+    #[test]
+    fn threads_env_values_parse_or_error() {
+        for unset in [None, Some(""), Some("  ")] {
+            assert_eq!(parse_threads_env(unset), Ok(None), "{unset:?}");
+        }
+        assert_eq!(parse_threads_env(Some("1")), Ok(Some(1)));
+        assert_eq!(parse_threads_env(Some(" 8 ")), Ok(Some(8)));
+        // A typo is rejected, never silently widened to every core.
+        for bad in [
+            "0",
+            "abc",
+            "1.5",
+            "-1",
+            "8 threads",
+            "99999999999999999999999",
+        ] {
+            assert_eq!(parse_threads_env(Some(bad)), Err(bad.to_string()));
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub use process::{
 pub use bitset::TermBitset;
 pub use piggyback::{Piggyback, StartDecision};
 pub use scenario::{BitrateMix, FaultPlan, FaultSpec, PlanError, Scenario, Thresholds, Verdict};
-pub use spiffi_simcore::KernelKind;
 pub use spiffi_trace::{
     mean_disk_utilization_of, ForensicsDump, GlitchForensics, NoopProbe, Probe, SampleRow, Sampler,
     StreamSpan, TraceRecorder, WorkerStream,

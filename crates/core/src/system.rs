@@ -272,38 +272,6 @@ fn event_kind(ev: &Event) -> &'static str {
     }
 }
 
-/// Parse a `SPIFFI_CAL_KERNEL` value: `heap` picks the reference binary
-/// heap, `bucket` (or unset/empty) the default bucket queue. Any other
-/// value is an error — a typo like `hep` silently falling back to the
-/// bucket kernel would invalidate a determinism diff without a trace.
-pub(crate) fn parse_kernel_env(v: Option<&str>) -> Result<spiffi_simcore::KernelKind, String> {
-    match v {
-        None => Ok(spiffi_simcore::KernelKind::Bucket),
-        Some(s) if s.is_empty() || s.eq_ignore_ascii_case("bucket") => {
-            Ok(spiffi_simcore::KernelKind::Bucket)
-        }
-        Some(s) if s.eq_ignore_ascii_case("heap") => Ok(spiffi_simcore::KernelKind::Heap),
-        Some(s) => Err(s.to_string()),
-    }
-}
-
-/// The calendar kernel selected by `SPIFFI_CAL_KERNEL`. Both kernels pop
-/// the identical `(time, seq)` order, so this knob trades only wall-clock
-/// speed, never results — which is what lets CI diff the two kernels'
-/// reports byte-for-byte. An unknown value aborts with a clear message
-/// instead of silently running the default kernel.
-fn kernel_from_env() -> spiffi_simcore::KernelKind {
-    match parse_kernel_env(std::env::var("SPIFFI_CAL_KERNEL").ok().as_deref()) {
-        Ok(kind) => kind,
-        Err(bad) => {
-            eprintln!(
-                "spiffi: unknown SPIFFI_CAL_KERNEL value {bad:?} (expected \"bucket\" or \"heap\")"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
 /// The instant the late joiners' stagger window opens: `warmup - stagger`,
 /// clamped to time zero. [`SystemConfig::validate`] rejects
 /// `stagger > warmup`, but the boundary itself must degrade to a cold
@@ -912,8 +880,7 @@ impl VodSystem {
             let seq = r.u64("es")?;
             entries.push((t, seq, read_event(&mut r)?));
         }
-        let cal =
-            Calendar::from_entries(kernel_from_env(), now, next_seq, scheduled_total, entries);
+        let cal = Calendar::from_entries(now, next_seq, scheduled_total, entries);
         // `build` wires the default network parameters (see its `net`
         // field); the import must match to stay byte-identical.
         let net = Network::snap_import(NetParams::default(), &mut r)?;
@@ -1255,12 +1222,8 @@ impl<P: Probe> VodSystem<P> {
 
         // Steady state holds a few pending events per terminal (wake,
         // in-flight I/O, prefetch); pre-size the kernel to skip its early
-        // growth reallocations. `SPIFFI_CAL_KERNEL=heap` selects the
-        // reference binary-heap kernel (benchmarks, determinism diffs);
-        // pop order — and therefore every report — is byte-identical
-        // either way.
-        let mut cal =
-            Calendar::with_capacity_and_kernel(8 * cfg.n_terminals as usize, kernel_from_env());
+        // growth reallocations.
+        let mut cal = Calendar::with_capacity(8 * cfg.n_terminals as usize);
         // Staggered starts (§6): "the terminals start movies at random
         // intervals." Each terminal's join instant is the first draw of
         // its own RNG stream, so the set of other terminals never shifts
@@ -1460,22 +1423,15 @@ impl<P: Probe> VodSystem<P> {
     }
 
     /// Events ever scheduled on the calendar (processed + pending +
-    /// truncated; monotone, kernel-independent — the counted-work gates
-    /// rely on this surviving kernel swaps unchanged).
+    /// truncated; monotone, and carried through snapshots unchanged).
     pub fn scheduled_events_total(&self) -> u64 {
         self.cal.scheduled_total()
     }
 
-    /// The calendar kernel this system runs on.
+    /// The calendar kernel this system runs on: always
+    /// [`KernelKind::Bucket`](spiffi_simcore::KernelKind::Bucket).
     pub fn calendar_kernel(&self) -> spiffi_simcore::KernelKind {
         self.cal.kernel_kind()
-    }
-
-    /// Move the pending-event set onto `kind` mid-run. Pop order is
-    /// preserved exactly, so the remainder of the run — and its report —
-    /// is byte-identical to never having switched.
-    pub fn set_calendar_kernel(&mut self, kind: spiffi_simcore::KernelKind) {
-        self.cal.set_kernel(kind);
     }
 
     /// The snapshot boundary for marginal timing: the instant the late
@@ -2777,19 +2733,6 @@ mod tests {
             late_join_open(&timing),
             SimTime::ZERO + SimDuration::from_secs(15)
         );
-    }
-
-    #[test]
-    fn kernel_env_values_parse_or_error() {
-        use spiffi_simcore::KernelKind;
-        assert_eq!(parse_kernel_env(None), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("bucket")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("Bucket")), Ok(KernelKind::Bucket));
-        assert_eq!(parse_kernel_env(Some("heap")), Ok(KernelKind::Heap));
-        assert_eq!(parse_kernel_env(Some("HEAP")), Ok(KernelKind::Heap));
-        assert_eq!(parse_kernel_env(Some("hep")), Err("hep".into()));
-        assert_eq!(parse_kernel_env(Some("1")), Err("1".into()));
     }
 
     /// The tentpole contract: serialize → deserialize → fork reproduces

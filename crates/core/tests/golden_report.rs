@@ -1,9 +1,10 @@
 //! Golden-report regression test.
 //!
 //! Determinism is sacred: for a fixed seed and configuration, the
-//! simulator must produce a byte-identical [`RunReport`] across code
-//! changes that claim to be behavior-preserving (e.g. the allocation-free
-//! scheduler/disk hot-path rewrites). These constants were captured when
+//! simulator must produce a byte-identical
+//! [`RunReport`](spiffi_core::RunReport) across code changes that claim
+//! to be behavior-preserving (e.g. the allocation-free scheduler/disk
+//! hot-path rewrites). These constants were captured when
 //! workload randomness moved to per-terminal RNG streams (the
 //! snapshot/fork contract); any drift in them means the observable
 //! simulation changed, not just its speed.
@@ -11,10 +12,10 @@
 //! Float fields are compared by `to_bits()` — "byte-identical" means
 //! exactly that, not approximately equal.
 
-use spiffi_core::{run_once, KernelKind, RunReport, SystemConfig, VodSystem};
+use spiffi_core::{run_once, NoopProbe, SystemConfig, VodSystem};
 use spiffi_mpeg::AccessPattern;
 use spiffi_sched::SchedulerKind;
-use spiffi_simcore::SimDuration;
+use spiffi_simcore::{KernelKind, SimDuration};
 
 fn tiny(scheduler: SchedulerKind, n_terminals: u32) -> SystemConfig {
     let mut c = SystemConfig::small_test();
@@ -125,72 +126,50 @@ fn golden_gss() {
     );
 }
 
-/// Project a report onto the golden row (same fields as [`capture`]).
-fn golden_of(r: &RunReport) -> Golden {
-    Golden {
-        glitches: r.glitches,
-        blocks_delivered: r.blocks_delivered,
-        videos_completed: r.videos_completed,
-        events_processed: r.events_processed,
-        deadline_misses: r.deadline_misses,
-        avg_disk_utilization_bits: r.avg_disk_utilization.to_bits(),
-        net_peak_bits: r.net_peak_bytes_per_sec.to_bits(),
-        io_latency_mean_bits: r.io_latency_mean_ms.to_bits(),
-    }
-}
-
-/// The bucket-queue kernel swap must be invisible: the calendar's
-/// lifetime accounting (`scheduled_total`, `len`) at the snapshot
-/// boundary and the full golden report of a snapshot-fork run must be
-/// byte-identical under both kernels — and under a mid-run swap from one
-/// kernel to the other.
+/// One kernel for every simulation: each constructor, a warm fork and a
+/// snapshot import all run on the bucket queue, and the calendar's
+/// lifetime accounting at the snapshot boundary covers every processed
+/// and pending event and survives a snapshot round trip unchanged.
 #[test]
-fn kernel_swap_preserves_calendar_accounting_and_reports() {
+fn every_system_runs_on_the_bucket_kernel() {
     let base = 8u32;
     let total = 12u32;
-    let cfg = {
-        let mut c = tiny(SchedulerKind::Elevator, total);
-        c.timing.measure = SimDuration::from_secs(20);
-        c
-    };
+    let cfg = tiny(SchedulerKind::Elevator, total);
     let lib = VodSystem::generate_library(&cfg);
-
-    // (accounting at the snapshot point, golden row of the forked run)
-    let run_with = |kind: KernelKind, swap_to: Option<KernelKind>| {
-        let mut bc = cfg.clone();
-        bc.n_terminals = base;
-        let mut sys = VodSystem::with_library(bc, lib.clone());
-        sys.set_calendar_kernel(kind);
-        sys.replay_to_snapshot();
-        if let Some(other) = swap_to {
-            sys.set_calendar_kernel(other);
-        }
-        let accounting = (
+    let accounting = |sys: &VodSystem| {
+        (
             sys.pending_events(),
             sys.scheduled_events_total(),
             sys.events_processed(),
-        );
-        (accounting, golden_of(&sys.fork_to(total).run()))
+        )
     };
 
-    let bucket = run_with(KernelKind::Bucket, None);
-    let heap = run_with(KernelKind::Heap, None);
-    let swapped = run_with(KernelKind::Heap, Some(KernelKind::Bucket));
-    println!(
-        "kernel accounting (pending, scheduled, processed): {:?}",
-        bucket.0
-    );
-    assert!(bucket.0 .0 > 0, "snapshot must leave events pending");
-    assert!(
-        bucket.0 .1 >= bucket.0 .2 + bucket.0 .0 as u64,
-        "scheduled_total must cover processed + pending events"
+    assert_eq!(
+        VodSystem::new(cfg.clone()).calendar_kernel(),
+        KernelKind::Bucket
     );
     assert_eq!(
-        bucket.0, heap.0,
-        "calendar accounting diverged across kernels"
+        VodSystem::with_probe(cfg.clone(), lib.clone(), NoopProbe).calendar_kernel(),
+        KernelKind::Bucket
     );
-    assert_eq!(bucket.1, heap.1, "forked report diverged across kernels");
-    assert_eq!(bucket, swapped, "mid-run kernel swap was visible");
+    let mut bc = cfg.clone();
+    bc.n_terminals = base;
+    let mut snap = VodSystem::with_library_marginal(bc.clone(), lib.clone(), base);
+    assert_eq!(snap.calendar_kernel(), KernelKind::Bucket);
+    snap.replay_to_snapshot();
+    let (pending, scheduled, processed) = accounting(&snap);
+    println!(
+        "calendar accounting (pending, scheduled, processed): {pending}, {scheduled}, {processed}"
+    );
+    assert!(pending > 0, "snapshot must leave events pending");
+    assert!(
+        scheduled >= processed + pending as u64,
+        "scheduled_total must cover processed + pending events"
+    );
+    assert_eq!(snap.fork_to(total).calendar_kernel(), KernelKind::Bucket);
+    let imported = VodSystem::snap_import(bc, lib, &snap.snap_export()).expect("snapshot imports");
+    assert_eq!(imported.calendar_kernel(), KernelKind::Bucket);
+    assert_eq!(accounting(&imported), accounting(&snap));
 }
 
 #[test]

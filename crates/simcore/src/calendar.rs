@@ -7,25 +7,21 @@
 //! event's time, and scheduling into the past is a programming error that
 //! panics rather than silently reordering causality.
 //!
-//! Two interchangeable kernels implement the queue:
+//! Every simulation runs on one kernel, a calendar queue (Brown 1988,
+//! the structure DESP-C++'s event list builds on): an array of
+//! power-of-two-wide time buckets addressed by `(time >> shift) & mask`.
+//! Event times in a simulation like SPIFFI's are overwhelmingly
+//! near-future (frame ticks, disk completions, pump wakeups), so a pop
+//! takes the front of one sorted, mostly-singleton bucket and a schedule
+//! appends to one — amortized O(1) against a binary heap's O(log n)
+//! pointer-chasing sift. Bucket width and count adapt to the observed
+//! event-horizon distribution (see `BucketQueue::rebuild`'s rationale).
 //!
-//! * [`KernelKind::Bucket`] (the default) — a calendar queue (Brown 1988,
-//!   the structure DESP-C++'s event list builds on): an array of
-//!   power-of-two-wide time buckets addressed by `(time >> shift) & mask`.
-//!   Event times in a simulation like SPIFFI's are overwhelmingly
-//!   near-future (frame ticks, disk completions, pump wakeups), so a pop
-//!   takes the front of one sorted, mostly-singleton bucket and a
-//!   schedule appends to one — amortized O(1) against the binary heap's
-//!   O(log n) pointer-chasing sift. Bucket width and count adapt to the
-//!   observed event-horizon distribution (see `BucketQueue::rebuild`'s
-//!   rationale).
-//! * [`KernelKind::Heap`] — the original stable binary heap, kept as the
-//!   reference implementation for differential tests and kernel
-//!   benchmarks.
-//!
-//! Both kernels pop the global minimum under the identical `(time, seq)`
-//! total order, so the event history of any simulation — and therefore
-//! every golden report — is byte-identical whichever kernel runs it.
+//! A stable binary heap is kept only as the reference the bucket queue
+//! is checked against: [`Calendar::with_capacity_and_kernel`] with
+//! [`KernelKind::Heap`] builds one for differential tests and the
+//! benchmark's hold-model checksum. Both kernels pop the global minimum
+//! under the identical `(time, seq)` total order.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -35,9 +31,11 @@ use crate::time::{SimDuration, SimTime};
 /// Selects the data structure backing a [`Calendar`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelKind {
-    /// Adaptive bucket (calendar) queue — amortized O(1), the default.
+    /// Adaptive bucket (calendar) queue — amortized O(1), the kernel
+    /// every simulation runs on.
     Bucket,
-    /// Stable binary min-heap — the O(log n) reference kernel.
+    /// Stable binary min-heap — the O(log n) reference kernel for tests
+    /// and benchmarks.
     Heap,
 }
 
@@ -448,8 +446,9 @@ impl<E> Calendar<E> {
         Self::with_capacity_and_kernel(capacity, KernelKind::Bucket)
     }
 
-    /// An empty calendar on an explicitly chosen kernel (benchmarks,
-    /// differential tests).
+    /// An empty calendar on an explicitly chosen kernel: the heap is the
+    /// reference the bucket queue is checked against in differential
+    /// tests and benchmarks.
     pub fn with_capacity_and_kernel(capacity: usize, kind: KernelKind) -> Self {
         let kernel = match kind {
             KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(capacity)),
@@ -470,39 +469,6 @@ impl<E> Calendar<E> {
             Kernel::Bucket(_) => KernelKind::Bucket,
             Kernel::Heap(_) => KernelKind::Heap,
         }
-    }
-
-    /// Move every pending event onto `kind`, preserving each event's
-    /// `(time, seq)` key — and therefore the exact pop order — along with
-    /// the clock and all counters. A no-op if the calendar is already on
-    /// that kernel.
-    pub fn set_kernel(&mut self, kind: KernelKind) {
-        if self.kernel_kind() == kind {
-            return;
-        }
-        let entries: Vec<Entry<E>> = match &mut self.kernel {
-            Kernel::Bucket(q) => std::mem::take(&mut q.buckets)
-                .into_iter()
-                .flatten()
-                .collect(),
-            Kernel::Heap(h) => std::mem::take(h).into_iter().map(|Reverse(e)| e).collect(),
-        };
-        let mut next = match kind {
-            KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(entries.len())),
-            KernelKind::Heap => Kernel::Heap(BinaryHeap::with_capacity(entries.len())),
-        };
-        for e in entries {
-            match &mut next {
-                Kernel::Bucket(q) => q.insert(e.time, e.seq, e.event),
-                Kernel::Heap(h) => h.push(Reverse(e)),
-            }
-        }
-        if let Kernel::Bucket(q) = &mut next {
-            // One planning pass establishes width, horizon and cursor for
-            // the converted population.
-            q.rebuild(self.now);
-        }
-        self.kernel = next;
     }
 
     /// Current simulated time.
@@ -690,36 +656,27 @@ impl<E> Calendar<E> {
         out
     }
 
-    /// Rebuild a calendar from snapshot state: the clock, the sequence
-    /// counter, the lifetime scheduled count, and the pending entries with
-    /// their original `(time, seq)` keys. Pop order — and therefore every
-    /// downstream event history — matches the snapshotted calendar
-    /// exactly.
+    /// Rebuild a calendar from snapshot state on the bucket kernel: the
+    /// clock, the sequence counter, the lifetime scheduled count, and the
+    /// pending entries with their original `(time, seq)` keys. Pop order —
+    /// and therefore every downstream event history — matches the
+    /// snapshotted calendar exactly.
     pub fn from_entries(
-        kind: KernelKind,
         now: SimTime,
         seq: u64,
         scheduled_total: u64,
         entries: Vec<(SimTime, u64, E)>,
     ) -> Self {
         let len = entries.len();
-        let mut kernel = match kind {
-            KernelKind::Bucket => Kernel::Bucket(BucketQueue::with_capacity(len)),
-            KernelKind::Heap => Kernel::Heap(BinaryHeap::with_capacity(len)),
-        };
+        let mut q = BucketQueue::with_capacity(len);
         for (time, seq, event) in entries {
-            match &mut kernel {
-                Kernel::Bucket(q) => q.insert(time, seq, event),
-                Kernel::Heap(h) => h.push(Reverse(Entry { time, seq, event })),
-            }
+            q.insert(time, seq, event);
         }
-        if let Kernel::Bucket(q) = &mut kernel {
-            // One planning pass establishes width, horizon and cursor for
-            // the restored population (mirrors `set_kernel`).
-            q.rebuild(now);
-        }
+        // One planning pass establishes width, horizon and cursor for the
+        // restored population.
+        q.rebuild(now);
         Calendar {
-            kernel,
+            kernel: Kernel::Bucket(q),
             now,
             seq,
             scheduled_total,
@@ -910,34 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn set_kernel_preserves_order_and_counters() {
-        let mut cal = Calendar::new();
-        for i in 0..100u64 {
-            cal.schedule_at(SimTime(i % 7), i);
-        }
-        cal.pop();
-        let (len, total, now) = (cal.len(), cal.scheduled_total(), cal.now());
-        cal.set_kernel(KernelKind::Heap);
-        assert_eq!(cal.kernel_kind(), KernelKind::Heap);
-        assert_eq!(
-            (cal.len(), cal.scheduled_total(), cal.now()),
-            (len, total, now)
-        );
-        let mut heap_order = Vec::new();
-        // Round-trip back to bucket mid-drain.
-        for _ in 0..50 {
-            heap_order.push(cal.pop().unwrap());
-        }
-        cal.set_kernel(KernelKind::Bucket);
-        while let Some(e) = cal.pop() {
-            heap_order.push(e);
-        }
-        let mut expect: Vec<(SimTime, u64)> = (0..100u64).map(|i| (SimTime(i % 7), i)).collect();
-        expect.sort_by_key(|&(t, i)| (t, i));
-        assert_eq!(heap_order, expect[1..]);
-    }
-
-    #[test]
     fn export_import_round_trip_preserves_pop_order() {
         for k in kernels() {
             let mut cal = Calendar::with_capacity_and_kernel(0, k);
@@ -952,13 +881,10 @@ mod tests {
                 .into_iter()
                 .map(|(t, s, &e)| (t, s, e))
                 .collect();
-            let mut restored = Calendar::from_entries(
-                k,
-                cal.now(),
-                cal.next_seq(),
-                cal.scheduled_total(),
-                entries,
-            );
+            let mut restored =
+                Calendar::from_entries(cal.now(), cal.next_seq(), cal.scheduled_total(), entries);
+            // Either source kernel restores onto the bucket queue.
+            assert_eq!(restored.kernel_kind(), KernelKind::Bucket, "{k:?}");
             assert_eq!(restored.len(), cal.len(), "{k:?}");
             assert_eq!(restored.now(), cal.now());
             assert_eq!(restored.scheduled_total(), cal.scheduled_total());

@@ -1,11 +1,11 @@
 //! Differential property test: the bucket-queue calendar kernel against
-//! the reference binary-heap kernel over randomized interleavings of
-//! every mutating operation. The two kernels must agree on *everything
+//! the reference binary-heap kernel, over randomized interleavings of
+//! every mutating operation and under the hold model at realistic pending
+//! populations. The two kernels must agree on *everything
 //! observable* — pop order (including same-instant tie order), bounded
-//! pops, clocks, counters, and panics on past-scheduling — because the
-//! simulation's determinism contract (byte-identical reports at any
-//! thread/worker/snapshot setting) rests on the kernels being
-//! interchangeable.
+//! pops, clocks, counters, and panics on past-scheduling. Every
+//! simulation runs on the bucket queue; the heap is the simple reference
+//! that proves its `(time, seq)` pop order correct.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -177,40 +177,83 @@ fn kernels_panic_identically_on_skipping_advance() {
     }
 }
 
-/// Converting a live calendar between kernels at arbitrary points never
-/// perturbs the pop order: a calendar that flips kernels every few ops
-/// matches a heap-only reference throughout.
-#[test]
-fn kernel_conversion_mid_run_is_invisible() {
-    for seed in 0..32u64 {
-        let mut rng = SimRng::stream(0x5e7c, seed);
-        let horizon = [300u64, 2_000_000][rng.index(2)];
-        let mut flipping = Calendar::with_capacity_and_kernel(0, KernelKind::Bucket);
-        let mut reference = Calendar::with_capacity_and_kernel(0, KernelKind::Heap);
-        for step in 0..600u64 {
-            let payload = step;
-            let op = draw_op(&mut rng, flipping.now(), horizon);
-            assert_eq!(
-                apply(&mut flipping, op, payload),
-                apply(&mut reference, op, payload),
-                "seed {seed} step {step} op {op:?}"
-            );
-            if step % 37 == 36 {
-                let next = if flipping.kernel_kind() == KernelKind::Bucket {
-                    KernelKind::Heap
+/// Event-horizon distributions of the hold model: how far ahead a popped
+/// event reschedules. Each stresses a different bucket-queue behaviour.
+#[derive(Clone, Copy, Debug)]
+enum Horizon {
+    /// Exponential, mean 1 ms — the VoD steady state.
+    NearFuture,
+    /// Uniform on [0, 100 ms]: a wide spread that exercises width
+    /// adaptation.
+    Uniform,
+    /// 90% exponential mean 1 ms, 10% uniform out to 10 s: cursor jumps
+    /// over empty days.
+    Bimodal,
+    /// Exponential mean 1 ms quantized to a 4 ms grid: massed ties, the
+    /// rebuild-backoff path.
+    MassedTies,
+}
+
+impl Horizon {
+    fn draw(self, rng: &mut SimRng) -> u64 {
+        const MS: f64 = 1e6;
+        let exp = |rng: &mut SimRng| (-MS * (1.0 - rng.f64()).ln()) as u64;
+        match self {
+            Horizon::NearFuture => exp(rng),
+            Horizon::Uniform => rng.u64_below(100_000_000),
+            Horizon::Bimodal => {
+                if rng.chance(0.9) {
+                    exp(rng)
                 } else {
-                    KernelKind::Bucket
-                };
-                flipping.set_kernel(next);
-                assert_eq!(observe(&flipping), observe(&reference), "seed {seed} flip");
+                    rng.u64_below(10_000_000_000)
+                }
             }
+            Horizon::MassedTies => exp(rng) / 4_000_000 * 4_000_000,
         }
-        loop {
-            let (f, r) = (flipping.pop(), reference.pop());
-            assert_eq!(f, r, "seed {seed} drain");
-            if f.is_none() {
-                break;
-            }
+    }
+}
+
+/// One hold-model pass: prime `pending` events, then pop the minimum and
+/// schedule a replacement `ops` times, so the population stays at
+/// `pending` while the clock advances. Returns an FNV-style checksum over
+/// every popped `(time, payload)`: two kernels agree only if they popped
+/// the same events in the same order, ties included.
+fn hold_checksum(kind: KernelKind, horizon: Horizon, pending: usize, ops: u64) -> u64 {
+    let mut cal: Calendar<u64> = Calendar::with_capacity_and_kernel(pending, kind);
+    let mut rng = SimRng::stream(0xca1b, pending as u64);
+    for i in 0..pending {
+        cal.schedule_at(SimTime(horizon.draw(&mut rng)), i as u64);
+    }
+    let mut sum = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..ops {
+        let (t, payload) = cal.pop().expect("hold model never drains");
+        sum = (sum ^ t.0).wrapping_mul(0x100_0000_01b3);
+        sum = (sum ^ payload).wrapping_mul(0x100_0000_01b3);
+        cal.schedule_in(SimDuration(horizon.draw(&mut rng)), payload);
+    }
+    assert_eq!(cal.len(), pending, "{kind:?} {horizon:?}");
+    sum
+}
+
+/// The heap stays a live oracle at realistic pending populations: under
+/// every hold-model horizon distribution, at 1,024 and 16,384 pending
+/// events, the bucket queue pops the heap's exact sequence.
+#[test]
+fn hold_model_pop_sequences_match_the_heap() {
+    for horizon in [
+        Horizon::NearFuture,
+        Horizon::Uniform,
+        Horizon::Bimodal,
+        Horizon::MassedTies,
+    ] {
+        for pending in [1_024, 16_384] {
+            // Enough pops to turn the pending population over four times.
+            let ops = 4 * pending as u64;
+            assert_eq!(
+                hold_checksum(KernelKind::Bucket, horizon, pending, ops),
+                hold_checksum(KernelKind::Heap, horizon, pending, ops),
+                "pop sequences diverged: {horizon:?} at {pending} pending events"
+            );
         }
     }
 }

@@ -11,8 +11,8 @@
 //! * `simulate` — run one configuration and print its measurement report;
 //! * `capacity` — find the maximum glitch-free terminal count (§7.1).
 //!
-//! Every knob of [`SystemConfig`] is exposed as a flag; run with `--help`
-//! for the list.
+//! The common knobs of [`SystemConfig`] are exposed as flags; run with
+//! `--help` for the list.
 
 use std::process::ExitCode;
 
@@ -49,7 +49,6 @@ WORKLOAD OPTIONS:
     --access A              uniform | zipf:Z                [default: zipf:1.0]
     --pauses                enable the Fig-19 pause workload
     --piggyback-secs S      enable piggybacking with an S-second delay
-    --search-speedup K      store §8.1 search versions at K× speed
     --aligned-starts        first titles start at frame 0 (default: steady state)
 
 RUN OPTIONS:
@@ -243,6 +242,18 @@ fn parse(args: &[String]) -> Result<Parsed, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
+    }
+
+    // The capacity search needs a non-empty bracket walked in positive
+    // steps, each probe backed by at least one simulation.
+    if reps == 0 {
+        return Err("--reps must be at least 1".into());
+    }
+    if step == 0 {
+        return Err("--step must be at least 1".into());
+    }
+    if lo > hi {
+        return Err(format!("--lo {lo} is above --hi {hi}"));
     }
 
     // The library defaults to the paper's 4 titles per disk.

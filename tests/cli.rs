@@ -147,3 +147,46 @@ fn pauses_and_piggyback_flags_work() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Degenerate capacity brackets are usage errors: exit code 2 with a
+/// message, never a silent answer or a panic backtrace.
+#[test]
+fn degenerate_capacity_bounds_are_rejected() {
+    for (bad, expect) in [
+        (["--reps", "0"], "--reps"),
+        (["--step", "0"], "--step"),
+        (["--lo", "50"], "--lo 50 is above --hi 40"),
+    ] {
+        let mut args = vec!["capacity"];
+        args.extend(small_args());
+        args.extend(["--hi", "40"]);
+        args.extend(bad);
+        let out = cli(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {err}");
+        assert!(!err.contains("panicked"), "{bad:?}: {err}");
+        assert!(err.contains(expect), "{bad:?}: {err}");
+        assert!(out.stdout.is_empty(), "{bad:?} printed an answer");
+    }
+}
+
+/// Every flag `--help` advertises is one `parse` accepts. Each is passed
+/// ahead of an unknown sentinel flag (or as the sentinel's value), so no
+/// simulation ever runs.
+#[test]
+fn every_advertised_flag_is_accepted() {
+    let help = String::from_utf8_lossy(&cli(&["--help"]).stdout).into_owned();
+    let flags: Vec<&str> = help
+        .split_whitespace()
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    assert!(flags.len() > 20, "too few flags found in --help: {flags:?}");
+    for flag in flags {
+        let out = cli(&["simulate", flag, "--no-such-flag"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !err.contains(&format!("unknown flag `{flag}`")),
+            "--help advertises {flag}, which parse rejects: {err}"
+        );
+    }
+}
