@@ -45,7 +45,7 @@
 //!
 //! `--dump-state` replays the workload's warmed-up base prefix exactly as
 //! the warm snapshot path would (marginal timing, replication 0) and
-//! writes the versioned wire frame (`spiffi-snapshot/4`) the dispatcher
+//! writes the versioned wire frame (`spiffi-snapshot/5`) the dispatcher
 //! would ship to a worker — a post-mortem artifact whose digest can be
 //! matched against worker stderr and whose body is the full serialized
 //! system state.
@@ -64,13 +64,13 @@
 use std::collections::BTreeMap;
 
 use spiffi_core::{
-    replication_seed, wire, CapacitySearch, Engine, FaultPlan, GlitchForensics, PhaseKind, Sampler,
-    SystemConfig, TraceRecorder, VodSystem, WorkerStream,
+    replication_seed, wire, CapacitySearch, Engine, FaultPlan, GlitchForensics, PhaseKind,
+    RunReport, Sampler, SystemConfig, TraceRecorder, Verdict, VodSystem, WorkerStream,
 };
 use spiffi_mpeg::AccessPattern;
 use spiffi_simcore::{SimDuration, SimTime};
 use spiffi_trace::export;
-use spiffi_trace::json::f64_fixed;
+use spiffi_trace::json::{escaped, f64_fixed};
 use spiffi_trace::merge::merged_chrome_trace;
 use spiffi_trace::{ForensicsDump, TraceEvent};
 
@@ -114,7 +114,7 @@ fn dump_state(cfg: &SystemConfig) {
     let frame = wire::encode_snapshot(base, 0, &body);
     std::fs::write("TRACE_state.snap", &frame).expect("write TRACE_state.snap");
     println!(
-        "wrote TRACE_state.snap: digest {:016x}, {} bytes, {} base-prefix events replayed",
+        "wrote TRACE_state.snap: digest {}, {} bytes, {} base-prefix events replayed",
         wire::snapshot_digest(&body),
         frame.len(),
         sys.events_processed(),
@@ -231,6 +231,13 @@ fn scenario_run(path: &str) -> i32 {
     // scenario, so the answer is the population the system sustains
     // *through* the faults — the floor `min_capacity` gates.
     let engine = Engine::new();
+    // The one line that varies with engine shape, filtered by the
+    // determinism diffs and checked by CI's worker legs.
+    println!(
+        "experiment engine: {} thread(s), {} worker process(es)",
+        engine.threads(),
+        engine.process_workers()
+    );
     engine.journal().record_faults(faults_fired);
     let search = CapacitySearch {
         lo: 4,
@@ -267,21 +274,55 @@ fn scenario_run(path: &str) -> i32 {
     }
     let all_pass = verdicts.iter().all(|v| v.pass);
 
+    let json = verdict_json(
+        &plan.name,
+        path,
+        faults_fired,
+        &report,
+        result.max_terminals,
+        result.below_bracket,
+        &verdicts,
+    );
+    std::fs::write("TRACE_scenario.json", json).expect("write TRACE_scenario.json");
+
+    println!("\nwrote TRACE_scenario.trace.json (open in https://ui.perfetto.dev)");
+    println!("wrote TRACE_scenario.json (pass: {all_pass})");
+    if all_pass {
+        0
+    } else {
+        1
+    }
+}
+
+/// The machine-readable scenario verdict written to `TRACE_scenario.json`.
+/// The plan path is arbitrary user text, so it is JSON-escaped; plan
+/// names are restricted to `[A-Za-z0-9_]` by the plan parser.
+fn verdict_json(
+    name: &str,
+    path: &str,
+    faults_fired: u64,
+    report: &RunReport,
+    capacity: u32,
+    below_bracket: bool,
+    verdicts: &[Verdict],
+) -> String {
+    let all_pass = verdicts.iter().all(|v| v.pass);
     let glitch_ppm = report.glitches.saturating_mul(1_000_000) / report.blocks_delivered.max(1);
     let mut json = format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"plan_file\": \"{path}\",\n  \"faults_fired\": {faults_fired},\n  \
+        "{{\n  \"scenario\": \"{}\",\n  \"plan_file\": \"{}\",\n  \"faults_fired\": {faults_fired},\n  \
          \"report\": {{\n    \"terminals\": {},\n    \"glitches\": {},\n    \
          \"blocks_delivered\": {},\n    \"glitch_ppm\": {glitch_ppm},\n    \
          \"io_latency_max_ms\": {},\n    \"deadline_misses\": {}\n  }},\n  \
          \"capacity_terminals\": {},\n  \"below_bracket\": {},\n  \"verdicts\": [\n",
-        plan.name,
+        name,
+        escaped(path),
         report.terminals,
         report.glitches,
         report.blocks_delivered,
         f64_fixed(report.io_latency_max_ms, 3),
         report.deadline_misses,
-        result.max_terminals,
-        result.below_bracket,
+        capacity,
+        below_bracket,
     );
     for (i, v) in verdicts.iter().enumerate() {
         json.push_str(&format!(
@@ -294,15 +335,7 @@ fn scenario_run(path: &str) -> i32 {
         ));
     }
     json.push_str(&format!("  ],\n  \"pass\": {all_pass}\n}}\n"));
-    std::fs::write("TRACE_scenario.json", json).expect("write TRACE_scenario.json");
-
-    println!("\nwrote TRACE_scenario.trace.json (open in https://ui.perfetto.dev)");
-    println!("wrote TRACE_scenario.json (pass: {all_pass})");
-    if all_pass {
-        0
-    } else {
-        1
-    }
+    json
 }
 
 fn main() {
@@ -549,4 +582,24 @@ fn main() {
         println!("wrote TRACE_forensics.json");
     }
     println!("wrote TRACE_journal.json");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn verdict_json_escapes_the_plan_path() {
+        let json = verdict_json(
+            "disk_death",
+            "q\"dir\\p.plan",
+            1,
+            &RunReport::default(),
+            24,
+            false,
+            &[],
+        );
+        assert!(json.contains(r#""plan_file": "q\"dir\\p.plan","#), "{json}");
+        assert!(json.ends_with("\"pass\": true\n}\n"), "{json}");
+    }
 }

@@ -1,8 +1,11 @@
 //! `spiffi-worker`: the process-level execution backend's child half.
 //!
 //! Reads one [`spiffi_core::wire`] job line per probe replication from
-//! stdin, simulates it, and writes one versioned JSONL result record to
-//! stdout. The worker is stateless across jobs except for a
+//! stdin, simulates it, and writes one versioned result record to
+//! stdout. Both are token lines of the snap grammar: the job carries the
+//! full [`SystemConfig`] in its canonical [`SystemConfig::snap_export`]
+//! encoding, and every job line, a malformed one included, gets exactly
+//! one result record. The worker is stateless across jobs except for a
 //! [`LibraryCache`] and the digest-addressed snapshot store below, so a
 //! respawned worker is indistinguishable from a fresh one — which is
 //! exactly what makes the dispatcher's crash-respawn-retry policy sound
@@ -14,13 +17,13 @@
 //!
 //! # Snapshot frames
 //!
-//! A `spiffi-snapshot/4` frame carries a serialized warmed-up base
+//! A `spiffi-snapshot/5` frame carries a serialized warmed-up base
 //! prefix ([`VodSystem::snap_export`]). The worker stores the body under
-//! its content digest and sends no reply. A later job whose `snap=`
-//! token names a stored digest imports the prefix once
+//! its content digest and sends no reply. A later job whose `snap`
+//! header token names a stored digest imports the prefix once
 //! ([`VodSystem::snap_import`], cached per digest) and forks it to the
 //! job's population instead of replaying the base warm-up from scratch.
-//! The `snap=` token is an optimization hint, never a correctness
+//! The `snap` token is an optimization hint, never a correctness
 //! requirement: an unknown digest or a failed import falls back to the
 //! full marginal build, which is bit-identical by construction.
 //!
@@ -40,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use spiffi_core::wire::{
-    self, ResultRecord, TelemetryDelta, TelemetryRecord, TelemetrySample, TelemetrySpan,
+    self, JobRecord, ResultRecord, TelemetryDelta, TelemetryRecord, TelemetrySample, TelemetrySpan,
     WorkerOutcome,
 };
 use spiffi_core::{replication_seed, LibraryCache, RunReport, Sampler, SystemConfig, VodSystem};
@@ -81,9 +84,7 @@ impl SnapshotStore {
         // contract; the job's config was validated, but the narrowed base
         // config is checked on its own before crossing that boundary.
         if let Err(why) = bc.validate() {
-            eprintln!(
-                "spiffi-worker: snapshot {digest:016x} base config invalid ({why}), rebuilding"
-            );
+            eprintln!("spiffi-worker: snapshot {digest} base config invalid ({why}), rebuilding");
             return None;
         }
         let lib = cache.get(&bc);
@@ -94,7 +95,7 @@ impl SnapshotStore {
                 Some(sys)
             }
             Err(e) => {
-                eprintln!("spiffi-worker: snapshot {digest:016x} import failed ({e}), rebuilding");
+                eprintln!("spiffi-worker: snapshot {digest} import failed ({e}), rebuilding");
                 None
             }
         }
@@ -103,25 +104,27 @@ impl SnapshotStore {
 
 /// Simulate one validated job: resolve the snapshot fast path (measuring
 /// its import and fork walls), then run either the plain zero-cost path
-/// or — when the job carries a `telem=` request — a [`Sampler`]-probed
+/// or — when the job carries a `telem` request — a [`Sampler`]-probed
 /// run whose samples, phase spans, and journal delta are folded into a
 /// [`TelemetryRecord`] for the dispatcher. Probes are observation-only,
 /// so the report is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
 fn simulate(
-    c: SystemConfig,
-    job_id: u64,
-    terminals: u32,
-    replication: u32,
-    base: Option<u32>,
-    snapshot: Option<u64>,
-    telemetry: Option<u64>,
+    job: JobRecord,
     cache: &LibraryCache,
     snapshots: &mut SnapshotStore,
 ) -> (RunReport, Option<TelemetryRecord>) {
+    let JobRecord {
+        id: job_id,
+        terminals,
+        replication,
+        base,
+        snapshot,
+        telemetry,
+        config: c,
+    } = job;
     // Standalone probe: a fresh cancel flag means the run can only stop
     // at its own first measured glitch or the window end — the
-    // deterministic, cacheable outcome. A `base=` token selects the
+    // deterministic, cacheable outcome. A `base` token selects the
     // dispatcher's marginal-probe timing so the outcome matches its
     // snapshot-mode engine.
     let cancel = AtomicU32::new(u32::MAX);
@@ -292,27 +295,18 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         let (record, telemetry) = match wire::parse_job(&line) {
-            Ok(job) => {
+            Ok(mut job) => {
                 let started = Instant::now();
-                let mut c = job.config;
+                let id = job.id;
+                let c = &mut job.config;
                 c.n_terminals = job.terminals;
                 c.seed = replication_seed(c.seed, job.replication);
                 match c.validate() {
                     Ok(()) => {
-                        let (report, telemetry) = simulate(
-                            c,
-                            job.id,
-                            job.terminals,
-                            job.replication,
-                            job.base,
-                            job.snapshot,
-                            job.telemetry,
-                            &cache,
-                            &mut snapshots,
-                        );
+                        let (report, telemetry) = simulate(job, &cache, &mut snapshots);
                         (
                             ResultRecord {
-                                id: job.id,
+                                id,
                                 outcome: Ok(WorkerOutcome {
                                     glitches: report.glitches,
                                     events: report.events_processed,
@@ -324,7 +318,7 @@ fn main() {
                     }
                     Err(why) => (
                         ResultRecord {
-                            id: job.id,
+                            id,
                             outcome: Err(format!("invalid config: {why}")),
                         },
                         None,

@@ -28,6 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use spiffi_mpeg::Library;
+use spiffi_simcore::snap::SnapWriter;
 
 use crate::config::SystemConfig;
 use crate::system::VodSystem;
@@ -165,19 +166,15 @@ impl ProbeCache {
         ProbeCache::default()
     }
 
-    /// The probe identity of `cfg`: every configuration field *except*
-    /// `n_terminals` (which each probe overrides with its candidate
-    /// count), rendered through `Debug` into one interned string.
+    /// The probe identity of `cfg`: its canonical
+    /// [`SystemConfig::snap_export`] encoding with `n_terminals` (which
+    /// each probe overrides with its candidate count) zeroed, interned.
     ///
-    /// Rust's `Debug` for floats prints the shortest round-trip
-    /// representation, so two configurations with equal fingerprints are
-    /// bit-identical as probe inputs — equal fingerprints really do imply
-    /// equal outcomes, with no hand-maintained field list to fall out of
-    /// sync when `SystemConfig` grows a field.
+    /// The codec names every field and carries floats as bit patterns, so
+    /// two configurations with equal fingerprints are bit-identical as
+    /// probe inputs — equal fingerprints really do imply equal outcomes.
     pub fn fingerprint(cfg: &SystemConfig) -> Arc<str> {
-        let mut c = cfg.clone();
-        c.n_terminals = 0;
-        Arc::from(format!("{c:?}"))
+        Arc::from(Self::canonical(cfg, SnapWriter::new()))
     }
 
     /// [`ProbeCache::fingerprint`] for marginal-timing probes: the base
@@ -188,9 +185,16 @@ impl ProbeCache {
     /// for the same configuration, even before the warm-up transform is
     /// taken into account.
     pub fn fingerprint_with_base(cfg: &SystemConfig, base: u32) -> Arc<str> {
+        let mut w = SnapWriter::new();
+        w.u32("fbase", base);
+        Arc::from(Self::canonical(cfg, w))
+    }
+
+    fn canonical(cfg: &SystemConfig, mut w: SnapWriter) -> String {
         let mut c = cfg.clone();
         c.n_terminals = 0;
-        Arc::from(format!("base={base}|{c:?}"))
+        c.snap_export(&mut w);
+        w.finish()
     }
 
     /// The cached outcome for replication `r` of a probe at `n` terminals,
@@ -413,26 +417,252 @@ mod tests {
 
     #[test]
     fn probe_fingerprint_ignores_terminal_count_only() {
-        let cfg = SystemConfig::small_test();
-        let mut more_terms = cfg.clone();
+        use crate::config::{InitialPosition, PauseConfig};
+        use crate::scenario::{BitrateMix, FaultSpec, Scenario};
+        use spiffi_bufferpool::PolicyKind;
+        use spiffi_layout::Placement;
+        use spiffi_mpeg::AccessPattern;
+        use spiffi_prefetch::PrefetchKind;
+        use spiffi_sched::SchedulerKind;
+        use spiffi_simcore::SimDuration;
+
+        let secs = SimDuration::from_secs;
+        // A base with every optional field present and every enum on a
+        // payload-carrying arm, so each payload value can be mutated.
+        let mut base = SystemConfig::small_test();
+        base.placement = Placement::StripeGroup { width: 2 };
+        base.scheduler = SchedulerKind::RealTime {
+            classes: 3,
+            spacing: secs(4),
+        };
+        base.prefetch = PrefetchKind::Delayed {
+            processes: 2,
+            max_advance: secs(8),
+        };
+        base.pause = Some(PauseConfig::default());
+        base.piggyback_delay = Some(secs(300));
+        base.search_speedup = Some(10);
+        base.scenario = Some(Scenario {
+            faults: vec![
+                FaultSpec::DiskDeath {
+                    node: 0,
+                    disk: 1,
+                    at: secs(20),
+                },
+                FaultSpec::DiskDegrade {
+                    node: 1,
+                    disk: 0,
+                    at: secs(5),
+                    dur: secs(10),
+                    factor_pct: 200,
+                },
+                FaultSpec::AbandonBurst {
+                    at: secs(25),
+                    every: 3,
+                },
+            ],
+            mix: Some(BitrateMix {
+                every: 4,
+                bit_rate_bps: 15_000_000,
+            }),
+        });
+        // Naming every field keeps this list honest: a new field fails to
+        // compile here until it has a mutation below.
+        let SystemConfig {
+            topology: _,
+            n_videos: _,
+            video: _,
+            access: _,
+            placement: _,
+            stripe_bytes: _,
+            server_memory_bytes: _,
+            terminal_memory_bytes: _,
+            n_terminals: _,
+            scheduler: _,
+            policy: _,
+            prefetch: _,
+            disk: _,
+            cpu: _,
+            pause: _,
+            piggyback_delay: _,
+            search_speedup: _,
+            initial_position: _,
+            timing: _,
+            seed: _,
+            scenario: _,
+        } = &base;
+        fn scn(c: &mut SystemConfig) -> &mut Scenario {
+            c.scenario.as_mut().expect("base has a scenario")
+        }
+        type Mutation = (&'static str, fn(&mut SystemConfig));
+        let mutations: &[Mutation] = &[
+            ("topology.nodes", |c| c.topology.nodes += 1),
+            ("topology.disks_per_node", |c| {
+                c.topology.disks_per_node += 1
+            }),
+            ("n_videos", |c| c.n_videos += 1),
+            ("video.bit_rate_bps", |c| c.video.bit_rate_bps += 1),
+            ("video.fps", |c| c.video.fps += 1),
+            ("video.duration", |c| c.video.duration.0 += 1),
+            ("access zipf", |c| c.access = AccessPattern::Zipf(0.5)),
+            ("access kind", |c| c.access = AccessPattern::Uniform),
+            ("placement width", |c| {
+                c.placement = Placement::StripeGroup { width: 4 }
+            }),
+            ("placement striped", |c| c.placement = Placement::Striped),
+            ("placement nonstriped", |c| {
+                c.placement = Placement::NonStriped
+            }),
+            ("stripe_bytes", |c| c.stripe_bytes += 1),
+            ("server_memory_bytes", |c| c.server_memory_bytes += 1),
+            ("terminal_memory_bytes", |c| c.terminal_memory_bytes += 1),
+            ("scheduler classes", |c| {
+                c.scheduler = SchedulerKind::RealTime {
+                    classes: 4,
+                    spacing: SimDuration::from_secs(4),
+                }
+            }),
+            ("scheduler spacing", |c| {
+                c.scheduler = SchedulerKind::RealTime {
+                    classes: 3,
+                    spacing: SimDuration::from_secs(5),
+                }
+            }),
+            ("scheduler gss", |c| {
+                c.scheduler = SchedulerKind::Gss { groups: 3 }
+            }),
+            ("scheduler fcfs", |c| c.scheduler = SchedulerKind::Fcfs),
+            ("scheduler edf", |c| c.scheduler = SchedulerKind::Edf),
+            ("scheduler elevator", |c| {
+                c.scheduler = SchedulerKind::Elevator
+            }),
+            ("scheduler rr", |c| c.scheduler = SchedulerKind::RoundRobin),
+            ("policy", |c| c.policy = PolicyKind::GlobalLru),
+            ("prefetch processes", |c| {
+                c.prefetch = PrefetchKind::Delayed {
+                    processes: 3,
+                    max_advance: SimDuration::from_secs(8),
+                }
+            }),
+            ("prefetch advance", |c| {
+                c.prefetch = PrefetchKind::Delayed {
+                    processes: 2,
+                    max_advance: SimDuration::from_secs(9),
+                }
+            }),
+            ("prefetch off", |c| c.prefetch = PrefetchKind::Off),
+            ("prefetch standard", |c| {
+                c.prefetch = PrefetchKind::Standard { processes: 2 }
+            }),
+            ("prefetch realtime", |c| {
+                c.prefetch = PrefetchKind::RealTime { processes: 2 }
+            }),
+            ("disk.seek_factor_ms", |c| c.disk.seek_factor_ms += 1e-9),
+            ("disk.settle", |c| c.disk.settle.0 += 1),
+            ("disk.rotation", |c| c.disk.rotation.0 += 1),
+            ("disk.transfer_bytes_per_sec", |c| {
+                c.disk.transfer_bytes_per_sec += 1.0
+            }),
+            ("disk.cylinder_bytes", |c| c.disk.cylinder_bytes += 1),
+            ("disk.cache_contexts", |c| c.disk.cache_contexts += 1),
+            ("disk.context_bytes", |c| c.disk.context_bytes += 1),
+            ("disk.num_cylinders", |c| c.disk.num_cylinders += 1),
+            ("cpu.mips", |c| c.cpu.mips += 1e-9),
+            ("cpu.start_io_instr", |c| c.cpu.start_io_instr += 1),
+            ("cpu.send_msg_instr", |c| c.cpu.send_msg_instr += 1),
+            ("cpu.recv_msg_instr", |c| c.cpu.recv_msg_instr += 1),
+            ("pause mean", |c| {
+                c.pause.as_mut().unwrap().mean_pauses_per_video += 1e-9
+            }),
+            ("pause duration", |c| {
+                c.pause.as_mut().unwrap().mean_duration.0 += 1
+            }),
+            ("pause none", |c| c.pause = None),
+            ("piggyback delay", |c| {
+                c.piggyback_delay = Some(SimDuration::from_secs(301))
+            }),
+            ("piggyback none", |c| c.piggyback_delay = None),
+            ("search speedup", |c| c.search_speedup = Some(11)),
+            ("search none", |c| c.search_speedup = None),
+            ("initial_position", |c| {
+                c.initial_position = InitialPosition::UniformWithinVideo
+            }),
+            ("timing.stagger", |c| c.timing.stagger.0 += 1),
+            ("timing.warmup", |c| c.timing.warmup.0 += 1),
+            ("timing.measure", |c| c.timing.measure.0 += 1),
+            ("seed", |c| c.seed += 1),
+            ("fault death node", |c| {
+                scn(c).faults[0] = FaultSpec::DiskDeath {
+                    node: 1,
+                    disk: 1,
+                    at: SimDuration::from_secs(20),
+                }
+            }),
+            ("fault death disk", |c| {
+                scn(c).faults[0] = FaultSpec::DiskDeath {
+                    node: 0,
+                    disk: 0,
+                    at: SimDuration::from_secs(20),
+                }
+            }),
+            ("fault death at", |c| {
+                scn(c).faults[0] = FaultSpec::DiskDeath {
+                    node: 0,
+                    disk: 1,
+                    at: SimDuration::from_secs(21),
+                }
+            }),
+            ("fault degrade window", |c| {
+                scn(c).faults[1] = FaultSpec::DiskDegrade {
+                    node: 1,
+                    disk: 0,
+                    at: SimDuration::from_secs(5),
+                    dur: SimDuration::from_secs(11),
+                    factor_pct: 200,
+                }
+            }),
+            ("fault degrade factor", |c| {
+                scn(c).faults[1] = FaultSpec::DiskDegrade {
+                    node: 1,
+                    disk: 0,
+                    at: SimDuration::from_secs(5),
+                    dur: SimDuration::from_secs(10),
+                    factor_pct: 300,
+                }
+            }),
+            ("fault abandon every", |c| {
+                scn(c).faults[2] = FaultSpec::AbandonBurst {
+                    at: SimDuration::from_secs(25),
+                    every: 4,
+                }
+            }),
+            ("fault dropped", |c| {
+                scn(c).faults.pop();
+            }),
+            ("mix every", |c| scn(c).mix.as_mut().unwrap().every += 1),
+            ("mix bit rate", |c| {
+                scn(c).mix.as_mut().unwrap().bit_rate_bps += 1
+            }),
+            ("mix none", |c| scn(c).mix = None),
+            ("scenario none", |c| c.scenario = None),
+        ];
+        let base_fp = ProbeCache::fingerprint(&base);
+        let mut seen = std::collections::HashMap::new();
+        seen.insert(base_fp.clone(), "base");
+        for (name, mutate) in mutations {
+            let mut c = base.clone();
+            mutate(&mut c);
+            let fp = ProbeCache::fingerprint(&c);
+            if let Some(other) = seen.insert(fp, name) {
+                panic!("mutating {name} gave the same fingerprint as {other}");
+            }
+        }
+        let mut more_terms = base.clone();
         more_terms.n_terminals += 100;
         assert_eq!(
-            ProbeCache::fingerprint(&cfg),
             ProbeCache::fingerprint(&more_terms),
+            base_fp,
             "probes override n_terminals, so it must not split the cache"
-        );
-        let mut other_seed = cfg.clone();
-        other_seed.seed ^= 1;
-        assert_ne!(
-            ProbeCache::fingerprint(&cfg),
-            ProbeCache::fingerprint(&other_seed),
-            "replication seeds derive from the base seed"
-        );
-        let mut other_mem = cfg.clone();
-        other_mem.server_memory_bytes *= 2;
-        assert_ne!(
-            ProbeCache::fingerprint(&cfg),
-            ProbeCache::fingerprint(&other_mem)
         );
     }
 

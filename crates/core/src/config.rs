@@ -5,10 +5,12 @@ use spiffi_cpu::CpuParams;
 use spiffi_disk::DiskParams;
 use spiffi_layout::{Placement, Topology};
 use spiffi_mpeg::{AccessPattern, VideoParams};
-use spiffi_net::NetParams;
 use spiffi_prefetch::PrefetchKind;
 use spiffi_sched::SchedulerKind;
+use spiffi_simcore::snap::{SnapError, SnapReader, SnapWriter};
 use spiffi_simcore::SimDuration;
+
+use crate::scenario::Scenario;
 
 /// Kibibyte.
 pub const KB: u64 = 1024;
@@ -126,10 +128,9 @@ pub struct SystemConfig {
     pub prefetch: PrefetchKind,
     /// Drive model (cylinder count is auto-sized from the layout).
     pub disk: DiskParams,
-    /// Node CPU model.
+    /// Node CPU model. (The network is not configurable: every system
+    /// runs Table 1's interconnect, `NetParams::default()`.)
     pub cpu: CpuParams,
-    /// Network model.
-    pub net: NetParams,
     /// Optional pause workload (§8.1).
     pub pause: Option<PauseConfig>,
     /// Optional piggybacking with the given batching delay (§8.2).
@@ -147,7 +148,7 @@ pub struct SystemConfig {
     pub seed: u64,
     /// Optional fault-injection scenario (scheduled perturbations plus an
     /// optional bitrate-heterogeneous library). `None` is a clean run.
-    pub scenario: Option<crate::scenario::Scenario>,
+    pub scenario: Option<Scenario>,
 }
 
 impl SystemConfig {
@@ -174,7 +175,6 @@ impl SystemConfig {
             prefetch: default_prefetch_for(SchedulerKind::Elevator),
             disk: DiskParams::default(),
             cpu: CpuParams::default(),
-            net: NetParams::default(),
             pause: None,
             piggyback_delay: None,
             search_speedup: None,
@@ -210,7 +210,6 @@ impl SystemConfig {
             prefetch: default_prefetch_for(SchedulerKind::Elevator),
             disk: DiskParams::default(),
             cpu: CpuParams::default(),
-            net: NetParams::default(),
             pause: None,
             piggyback_delay: None,
             search_speedup: None,
@@ -311,6 +310,251 @@ impl SystemConfig {
             }
         }
         Ok(())
+    }
+
+    /// Append every field as snap tokens: the canonical encoding that job
+    /// lines carry and probe-cache fingerprints are built from. Enum kinds
+    /// are a tag token plus their payload tokens; `Option` fields are a
+    /// presence flag plus the value. Floats travel as IEEE-754 bit
+    /// patterns, so [`SystemConfig::snap_import`] rebuilds a bit-identical
+    /// configuration. The destructuring names every field, and the import
+    /// builds every nested struct by literal, so a new field does not
+    /// compile until it is encoded.
+    pub fn snap_export(&self, w: &mut SnapWriter) {
+        let SystemConfig {
+            topology,
+            n_videos,
+            video,
+            access,
+            placement,
+            stripe_bytes,
+            server_memory_bytes,
+            terminal_memory_bytes,
+            n_terminals,
+            scheduler,
+            policy,
+            prefetch,
+            disk,
+            cpu,
+            pause,
+            piggyback_delay,
+            search_speedup,
+            initial_position,
+            timing,
+            seed,
+            scenario,
+        } = self;
+        w.u32("nodes", topology.nodes);
+        w.u32("disks", topology.disks_per_node);
+        w.usize("videos", *n_videos);
+        w.u64("brate", video.bit_rate_bps);
+        w.u32("fps", video.fps);
+        w.dur("vdur", video.duration);
+        match *access {
+            AccessPattern::Uniform => w.u8("access", 0),
+            AccessPattern::Zipf(z) => {
+                w.u8("access", 1);
+                w.f64("zipf", z);
+            }
+        }
+        match *placement {
+            Placement::Striped => w.u8("place", 0),
+            Placement::NonStriped => w.u8("place", 1),
+            Placement::StripeGroup { width } => {
+                w.u8("place", 2);
+                w.u32("width", width);
+            }
+        }
+        w.u64("stripe", *stripe_bytes);
+        w.u64("smem", *server_memory_bytes);
+        w.u64("tmem", *terminal_memory_bytes);
+        w.u32("terms", *n_terminals);
+        match *scheduler {
+            SchedulerKind::Fcfs => w.u8("sched", 0),
+            SchedulerKind::Edf => w.u8("sched", 1),
+            SchedulerKind::Elevator => w.u8("sched", 2),
+            SchedulerKind::RoundRobin => w.u8("sched", 3),
+            SchedulerKind::Gss { groups } => {
+                w.u8("sched", 4);
+                w.u32("groups", groups);
+            }
+            SchedulerKind::RealTime { classes, spacing } => {
+                w.u8("sched", 5);
+                w.u32("classes", classes);
+                w.dur("spacing", spacing);
+            }
+        }
+        // Fieldless kinds: the tag is the variant's declaration index.
+        w.u8("policy", *policy as u8);
+        match *prefetch {
+            PrefetchKind::Off => w.u8("pf", 0),
+            PrefetchKind::Standard { processes } => {
+                w.u8("pf", 1);
+                w.u32("procs", processes);
+            }
+            PrefetchKind::RealTime { processes } => {
+                w.u8("pf", 2);
+                w.u32("procs", processes);
+            }
+            PrefetchKind::Delayed {
+                processes,
+                max_advance,
+            } => {
+                w.u8("pf", 3);
+                w.u32("procs", processes);
+                w.dur("advance", max_advance);
+            }
+        }
+        w.f64("dseek", disk.seek_factor_ms);
+        w.dur("dsettle", disk.settle);
+        w.dur("drot", disk.rotation);
+        w.f64("dxfer", disk.transfer_bytes_per_sec);
+        w.u64("dcylb", disk.cylinder_bytes);
+        w.usize("dctxs", disk.cache_contexts);
+        w.u64("dctxb", disk.context_bytes);
+        w.u32("dncyl", disk.num_cylinders);
+        w.f64("mips", cpu.mips);
+        w.u64("cio", cpu.start_io_instr);
+        w.u64("csend", cpu.send_msg_instr);
+        w.u64("crecv", cpu.recv_msg_instr);
+        w.bool("pause", pause.is_some());
+        if let Some(p) = pause {
+            w.f64("pmean", p.mean_pauses_per_video);
+            w.dur("pdur", p.mean_duration);
+        }
+        w.bool("piggy", piggyback_delay.is_some());
+        if let Some(d) = piggyback_delay {
+            w.dur("pdelay", *d);
+        }
+        w.bool("search", search_speedup.is_some());
+        if let Some(x) = search_speedup {
+            w.u32("speedup", *x);
+        }
+        w.u8("ipos", *initial_position as u8);
+        w.dur("stagger", timing.stagger);
+        w.dur("warmup", timing.warmup);
+        w.dur("measure", timing.measure);
+        w.u64("seed", *seed);
+        w.bool("scn", scenario.is_some());
+        if let Some(s) = scenario {
+            s.snap_export(w);
+        }
+    }
+
+    /// Read a configuration back from [`SystemConfig::snap_export`]
+    /// tokens. Unknown tags and malformed values are typed
+    /// [`SnapError`]s; nothing is validated beyond the encoding (callers
+    /// run [`SystemConfig::validate`] before simulating).
+    pub fn snap_import(r: &mut SnapReader<'_>) -> Result<SystemConfig, SnapError> {
+        let bad_tag = |key, tag: u8| SnapError::BadValue {
+            key,
+            value: tag.to_string(),
+        };
+        // Struct-literal fields evaluate in source order, which is the
+        // token order `snap_export` writes.
+        Ok(SystemConfig {
+            topology: Topology {
+                nodes: r.u32("nodes")?,
+                disks_per_node: r.u32("disks")?,
+            },
+            n_videos: r.usize("videos")?,
+            video: VideoParams {
+                bit_rate_bps: r.u64("brate")?,
+                fps: r.u32("fps")?,
+                duration: r.dur("vdur")?,
+            },
+            access: match r.u8("access")? {
+                0 => AccessPattern::Uniform,
+                1 => AccessPattern::Zipf(r.f64("zipf")?),
+                tag => return Err(bad_tag("access", tag)),
+            },
+            placement: match r.u8("place")? {
+                0 => Placement::Striped,
+                1 => Placement::NonStriped,
+                2 => Placement::StripeGroup {
+                    width: r.u32("width")?,
+                },
+                tag => return Err(bad_tag("place", tag)),
+            },
+            stripe_bytes: r.u64("stripe")?,
+            server_memory_bytes: r.u64("smem")?,
+            terminal_memory_bytes: r.u64("tmem")?,
+            n_terminals: r.u32("terms")?,
+            scheduler: match r.u8("sched")? {
+                0 => SchedulerKind::Fcfs,
+                1 => SchedulerKind::Edf,
+                2 => SchedulerKind::Elevator,
+                3 => SchedulerKind::RoundRobin,
+                4 => SchedulerKind::Gss {
+                    groups: r.u32("groups")?,
+                },
+                5 => SchedulerKind::RealTime {
+                    classes: r.u32("classes")?,
+                    spacing: r.dur("spacing")?,
+                },
+                tag => return Err(bad_tag("sched", tag)),
+            },
+            policy: match r.u8("policy")? {
+                0 => PolicyKind::GlobalLru,
+                1 => PolicyKind::LovePrefetch,
+                tag => return Err(bad_tag("policy", tag)),
+            },
+            prefetch: match r.u8("pf")? {
+                0 => PrefetchKind::Off,
+                1 => PrefetchKind::Standard {
+                    processes: r.u32("procs")?,
+                },
+                2 => PrefetchKind::RealTime {
+                    processes: r.u32("procs")?,
+                },
+                3 => PrefetchKind::Delayed {
+                    processes: r.u32("procs")?,
+                    max_advance: r.dur("advance")?,
+                },
+                tag => return Err(bad_tag("pf", tag)),
+            },
+            disk: DiskParams {
+                seek_factor_ms: r.f64("dseek")?,
+                settle: r.dur("dsettle")?,
+                rotation: r.dur("drot")?,
+                transfer_bytes_per_sec: r.f64("dxfer")?,
+                cylinder_bytes: r.u64("dcylb")?,
+                cache_contexts: r.usize("dctxs")?,
+                context_bytes: r.u64("dctxb")?,
+                num_cylinders: r.u32("dncyl")?,
+            },
+            cpu: CpuParams {
+                mips: r.f64("mips")?,
+                start_io_instr: r.u64("cio")?,
+                send_msg_instr: r.u64("csend")?,
+                recv_msg_instr: r.u64("crecv")?,
+            },
+            pause: if r.bool("pause")? {
+                Some(PauseConfig {
+                    mean_pauses_per_video: r.f64("pmean")?,
+                    mean_duration: r.dur("pdur")?,
+                })
+            } else {
+                None
+            },
+            piggyback_delay: r.bool("piggy")?.then(|| r.dur("pdelay")).transpose()?,
+            search_speedup: r.bool("search")?.then(|| r.u32("speedup")).transpose()?,
+            initial_position: match r.u8("ipos")? {
+                0 => InitialPosition::Start,
+                1 => InitialPosition::UniformWithinVideo,
+                tag => return Err(bad_tag("ipos", tag)),
+            },
+            timing: RunTiming {
+                stagger: r.dur("stagger")?,
+                warmup: r.dur("warmup")?,
+                measure: r.dur("measure")?,
+            },
+            seed: r.u64("seed")?,
+            scenario: r
+                .bool("scn")?
+                .then(|| Scenario::snap_import(r))
+                .transpose()?,
+        })
     }
 }
 

@@ -194,7 +194,7 @@ impl SnapshotBlob {
         }
     }
 
-    /// The content digest job lines reference via their `snap=` token.
+    /// The content digest job lines reference via their `snap` token.
     pub fn digest(&self) -> u64 {
         self.digest
     }
@@ -218,7 +218,7 @@ struct PendingJob {
     replication: u32,
     /// The encoded wire line (constant across retries).
     line: String,
-    /// The snapshot frame the job's `snap=` token references, if any —
+    /// The snapshot frame the job's `snap` token references, if any —
     /// shipped to whichever worker incarnation the job lands on.
     snapshot: Option<Arc<SnapshotBlob>>,
     /// Attempts consumed so far.

@@ -1,5 +1,5 @@
 //! Deterministic fault-injection scenario engine: parsed fault plans,
-//! their acceptance thresholds, and the compact wire form.
+//! their acceptance thresholds, and their snap-token codec.
 //!
 //! A *scenario* is a small set of perturbations scheduled at exact
 //! simulation times — a disk dies, a disk serves reads at 2× latency for
@@ -35,6 +35,7 @@
 
 use std::fmt;
 
+use spiffi_simcore::snap::{SnapError, SnapReader, SnapWriter};
 use spiffi_simcore::SimDuration;
 
 use crate::config::RunTiming;
@@ -108,8 +109,8 @@ impl BitrateMix {
 }
 
 /// The simulation-affecting part of a plan: what happens, and when.
-/// Lives inside [`SystemConfig`](crate::SystemConfig), so it participates
-/// in config fingerprints and snapshot compatibility automatically.
+/// Lives inside [`SystemConfig`](crate::SystemConfig), so the config's
+/// snap codec carries it on job lines and into probe-cache fingerprints.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Scenario {
     /// Scheduled perturbations, in file order.
@@ -216,7 +217,7 @@ pub enum PlanError {
     },
     /// A value failed to parse or was out of range for its key.
     BadValue {
-        /// 1-based line number (0 for the wire form).
+        /// 1-based line number.
         line: usize,
         /// The key whose value was bad.
         key: &'static str,
@@ -567,19 +568,19 @@ impl Scenario {
         Ok(())
     }
 
-    /// Compact single-token wire form for the job protocol's optional
-    /// `scn=` field: `;`-separated subtokens, `,`-separated values, no
-    /// whitespace or `=`. Times are nanoseconds.
-    pub fn encode_wire(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for fault in &self.faults {
-            if !out.is_empty() {
-                out.push(';');
-            }
+    /// Append the scenario's snap tokens: a count-prefixed fault list
+    /// (each fault a kind tag plus its fields) and the optional bitrate
+    /// mix behind a presence flag. Times are nanoseconds.
+    pub fn snap_export(&self, w: &mut SnapWriter) {
+        let Scenario { faults, mix } = self;
+        w.usize("nf", faults.len());
+        for fault in faults {
             match *fault {
                 FaultSpec::DiskDeath { node, disk, at } => {
-                    let _ = write!(out, "k,{node},{disk},{}", at.0);
+                    w.u8("fk", 0);
+                    w.u32("fn", node);
+                    w.u32("fd", disk);
+                    w.dur("fa", at);
                 }
                 FaultSpec::DiskDegrade {
                     node,
@@ -588,74 +589,67 @@ impl Scenario {
                     dur,
                     factor_pct,
                 } => {
-                    let _ = write!(out, "g,{node},{disk},{},{},{factor_pct}", at.0, dur.0);
+                    w.u8("fk", 1);
+                    w.u32("fn", node);
+                    w.u32("fd", disk);
+                    w.dur("fa", at);
+                    w.dur("fl", dur);
+                    w.u32("fp", factor_pct);
                 }
                 FaultSpec::AbandonBurst { at, every } => {
-                    let _ = write!(out, "a,{},{every}", at.0);
+                    w.u8("fk", 2);
+                    w.dur("fa", at);
+                    w.u32("fe", every);
                 }
             }
         }
-        if let Some(mix) = self.mix {
-            if !out.is_empty() {
-                out.push(';');
-            }
-            let _ = write!(out, "m,{},{}", mix.every, mix.bit_rate_bps);
+        w.bool("mx", mix.is_some());
+        if let Some(m) = mix {
+            w.u32("me", m.every);
+            w.u64("mb", m.bit_rate_bps);
         }
-        out
     }
 
-    /// Decode the wire form produced by [`Scenario::encode_wire`].
-    pub fn decode_wire(s: &str) -> Result<Scenario, PlanError> {
-        let bad = |value: &str| PlanError::BadValue {
-            line: 0,
-            key: "scn",
-            value: value.to_string(),
-        };
-        let mut scenario = Scenario::default();
-        if s.is_empty() {
-            return Ok(scenario);
-        }
-        for sub in s.split(';') {
-            let fields: Vec<&str> = sub.split(',').collect();
-            let num = |i: usize| -> Result<u64, PlanError> {
-                fields
-                    .get(i)
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .ok_or_else(|| bad(sub))
-            };
-            let num32 = |i: usize| -> Result<u32, PlanError> {
-                fields
-                    .get(i)
-                    .and_then(|v| v.parse::<u32>().ok())
-                    .ok_or_else(|| bad(sub))
-            };
-            match fields.first() {
-                Some(&"k") if fields.len() == 4 => scenario.faults.push(FaultSpec::DiskDeath {
-                    node: num32(1)?,
-                    disk: num32(2)?,
-                    at: SimDuration(num(3)?),
-                }),
-                Some(&"g") if fields.len() == 6 => scenario.faults.push(FaultSpec::DiskDegrade {
-                    node: num32(1)?,
-                    disk: num32(2)?,
-                    at: SimDuration(num(3)?),
-                    dur: SimDuration(num(4)?),
-                    factor_pct: num32(5)?,
-                }),
-                Some(&"a") if fields.len() == 3 => scenario.faults.push(FaultSpec::AbandonBurst {
-                    at: SimDuration(num(1)?),
-                    every: num32(2)?,
-                }),
-                Some(&"m") if fields.len() == 3 => {
-                    scenario.mix = Some(BitrateMix {
-                        every: num32(1)?,
-                        bit_rate_bps: num(2)?,
-                    });
+    /// Read a scenario back from [`Scenario::snap_export`] tokens.
+    pub fn snap_import(r: &mut SnapReader<'_>) -> Result<Scenario, SnapError> {
+        let nf = r.usize("nf")?;
+        // The count is untrusted: grow as faults actually decode.
+        let mut faults = Vec::with_capacity(nf.min(16));
+        for _ in 0..nf {
+            faults.push(match r.u8("fk")? {
+                0 => FaultSpec::DiskDeath {
+                    node: r.u32("fn")?,
+                    disk: r.u32("fd")?,
+                    at: r.dur("fa")?,
+                },
+                1 => FaultSpec::DiskDegrade {
+                    node: r.u32("fn")?,
+                    disk: r.u32("fd")?,
+                    at: r.dur("fa")?,
+                    dur: r.dur("fl")?,
+                    factor_pct: r.u32("fp")?,
+                },
+                2 => FaultSpec::AbandonBurst {
+                    at: r.dur("fa")?,
+                    every: r.u32("fe")?,
+                },
+                tag => {
+                    return Err(SnapError::BadValue {
+                        key: "fk",
+                        value: tag.to_string(),
+                    })
                 }
-                _ => return Err(bad(sub)),
-            }
+            });
         }
-        Ok(scenario)
+        let mix = if r.bool("mx")? {
+            Some(BitrateMix {
+                every: r.u32("me")?,
+                bit_rate_bps: r.u64("mb")?,
+            })
+        } else {
+            None
+        };
+        Ok(Scenario { faults, mix })
     }
 }
 
@@ -819,16 +813,41 @@ expect min_capacity=24
         );
     }
 
+    fn decode(tokens: &str) -> Result<Scenario, SnapError> {
+        let mut r = SnapReader::new(tokens);
+        let scenario = Scenario::snap_import(&mut r)?;
+        r.finish()?;
+        Ok(scenario)
+    }
+
     #[test]
-    fn wire_form_round_trips() {
+    fn snap_codec_round_trips_and_rejects_garbage() {
         let plan = FaultPlan::parse(FULL).expect("parse");
-        let wire = plan.scenario.encode_wire();
-        assert!(!wire.contains(' ') && !wire.contains('='), "{wire}");
-        assert_eq!(Scenario::decode_wire(&wire), Ok(plan.scenario));
-        assert_eq!(Scenario::decode_wire(""), Ok(Scenario::default()));
-        assert!(Scenario::decode_wire("k,0,1").is_err());
-        assert!(Scenario::decode_wire("z,1,2,3").is_err());
-        assert!(Scenario::decode_wire("k,0,x,5").is_err());
+        for scenario in [plan.scenario, Scenario::default()] {
+            let mut w = SnapWriter::new();
+            scenario.snap_export(&mut w);
+            assert_eq!(decode(&w.finish()), Ok(scenario));
+        }
+        // A death fault cut before its time.
+        assert_eq!(
+            decode("nf=1 fk=0 fn=0 fd=1"),
+            Err(SnapError::Truncated { key: "fa" })
+        );
+        // An unknown fault kind.
+        assert!(matches!(
+            decode("nf=1 fk=9 fn=1 fd=2 fa=3 mx=0"),
+            Err(SnapError::BadValue { key: "fk", .. })
+        ));
+        // A non-numeric field.
+        assert!(matches!(
+            decode("nf=1 fk=0 fn=0 fd=x fa=5 mx=0"),
+            Err(SnapError::BadValue { key: "fd", .. })
+        ));
+        // A lying fault count runs out of tokens instead of allocating it.
+        assert_eq!(
+            decode(&format!("nf={} fk=2 fa=1 fe=3", u64::MAX)),
+            Err(SnapError::Truncated { key: "fk" })
+        );
     }
 
     #[test]

@@ -831,11 +831,16 @@ impl VodSystem {
     /// Rebuild a system from [`VodSystem::snap_export`] tokens.
     ///
     /// `cfg` and `library` must be the exact configuration and library the
-    /// exporting system ran under (the wire layer enforces this with a
-    /// config fingerprint); `cfg.n_terminals` is the snapshot's terminal
-    /// count, which [`VodSystem::fork_to`] then extends per probe. Shape
-    /// mismatches between tokens and configuration surface as typed
-    /// [`SnapError`]s, never panics.
+    /// exporting system ran under; `cfg.n_terminals` is the snapshot's
+    /// terminal count, which [`VodSystem::fork_to`] then extends per probe.
+    /// Nothing checks the configuration: a wire snapshot frame carries
+    /// only a body digest, the base count and the replication index, and
+    /// a worker imports it under the config of the job that references
+    /// it. The dispatcher keeps that sound by referencing a frame only
+    /// from jobs of the search that captured it. Shape mismatches between
+    /// tokens and configuration (node, disk or terminal counts) surface
+    /// as typed [`SnapError`]s, never panics; a difference the body does
+    /// not encode, such as a disk timing parameter, goes undetected.
     ///
     /// # Panics
     /// If the configuration fails [`SystemConfig::validate`] — the same
@@ -881,8 +886,8 @@ impl VodSystem {
             entries.push((t, seq, read_event(&mut r)?));
         }
         let cal = Calendar::from_entries(now, next_seq, scheduled_total, entries);
-        // `build` wires the default network parameters (see its `net`
-        // field); the import must match to stay byte-identical.
+        // The network is not configurable: `build` wires Table 1's
+        // default parameters, and the import must match.
         let net = Network::snap_import(NetParams::default(), &mut r)?;
         let nn = r.usize("nn")?;
         if nn != cfg.topology.nodes as usize {

@@ -2,53 +2,53 @@
 //! ships probe jobs to `spiffi-worker` children and reads results back.
 //!
 //! The protocol is deliberately dumb — line-oriented, versioned, and
-//! self-contained — so a worker can run on the far side of any byte pipe
-//! (a child process today, an ssh session tomorrow):
+//! self-contained — so a worker can run on the far side of any byte pipe.
+//! Every record is a `spiffi-<kind>/<version>` head followed by tokens of
+//! the one snap grammar ([`spiffi_simcore::snap`]), written by a
+//! [`SnapWriter`] and read back positionally by a [`SnapReader`] that
+//! ends in `finish()`. Floats travel as IEEE-754 bit patterns, so every
+//! decoded value is **bit-identical** to the sender's:
 //!
-//! * **Job lines** (dispatcher → worker stdin): one line per job,
-//!   `spiffi-job/<version> id=… n=… r=… <config fields…>`. The full
-//!   [`SystemConfig`] rides along in `key=value` tokens, floats encoded as
-//!   IEEE-754 bit patterns in hex so the decoded config is **bit-identical**
-//!   to the dispatcher's — the determinism contract survives the pipe.
-//! * **Result records** (worker stdout → dispatcher): one JSON object per
-//!   line, `{"spiffi_worker":<version>,"job":…,"ok":true,"glitches":…,
-//!   "events":…,"wall_nanos":…}` (or `"ok":false,"error":"…"`). JSONL so
-//!   the records double as a machine-readable run log.
-//! * **Snapshot frames** (dispatcher → worker stdin): one line per warm
-//!   base snapshot, `spiffi-snapshot/<version> digest=… base=… repl=…
-//!   <snap tokens…>`. The body is the
-//!   [`VodSystem::snap_export`](crate::VodSystem::snap_export) token
-//!   stream verbatim — floats as IEEE-754 bit patterns — and the digest
-//!   (FNV-1a 64 over the body) content-addresses it, so a job's `snap=`
-//!   token can reference a frame shipped earlier and the parser detects
-//!   any corruption in between.
+//! * **Job lines** (dispatcher → worker): `spiffi-job/<version>`, header
+//!   tokens (id, terminal count, replication, then the optional marginal
+//!   base, snapshot digest and telemetry interval, each behind a presence
+//!   flag), the [`SystemConfig::snap_export`] tokens, and `end=1`.
+//! * **Result records** (worker → dispatcher): `spiffi-result/<version>
+//!   job=… ok=1 gl=… ev=… wn=… end=1`, or `ok=0 err=…` with the error
+//!   text in one hex token ([`SnapWriter::text`]), so no message can
+//!   break the line framing.
+//! * **Snapshot frames** (dispatcher → worker): `spiffi-snapshot/<version>
+//!   digest=… base=… repl=…` and the
+//!   [`VodSystem::snap_export`](crate::VodSystem::snap_export) body
+//!   verbatim. The digest (FNV-1a 64 over the body) content-addresses it,
+//!   so a job's `snap` token can reference a frame shipped earlier.
+//! * **Telemetry frames** (worker → dispatcher):
+//!   `spiffi-telemetry/<version> digest=… job=…` and a positional body
+//!   with count-prefixed span and sample lists.
 //!
-//! Both parsers reject version-mismatched, truncated, or malformed input
+//! Every parser rejects version-mismatched, truncated, or malformed input
 //! with a typed [`WireError`] — never a panic — because worker output is
 //! untrusted by construction: a worker may be killed mid-line, and the
 //! dispatcher's retry policy depends on telling "garbage" from "crash".
+//! A line cut anywhere fails to parse: job and result records must reach
+//! their `end` token, and frames must match their digest.
 
 use std::fmt;
 
-use spiffi_bufferpool::PolicyKind;
-use spiffi_layout::Placement;
-use spiffi_mpeg::AccessPattern;
-use spiffi_prefetch::PrefetchKind;
-use spiffi_sched::SchedulerKind;
-use spiffi_simcore::SimDuration;
+use spiffi_simcore::snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::config::{InitialPosition, PauseConfig, SystemConfig};
+use crate::config::SystemConfig;
 
 /// Protocol version; bumped whenever a record's shape changes. A
 /// dispatcher and worker must agree exactly — there is no negotiation,
 /// because both halves ship in one binary's workspace. v2 added the
-/// `base=` job token carrying the marginal-probe base count; v3 added the
-/// `spiffi-snapshot` state frame and the job line's optional `snap=`
-/// digest token referencing it; v4 added the job line's optional `telem=`
-/// sample-interval token and the `spiffi-telemetry` frame a worker
-/// streams back (samples, phase spans, and a journal delta per job,
-/// digest-framed like snapshots).
-pub const PROTO_VERSION: u32 = 4;
+/// marginal-probe base count; v3 the `spiffi-snapshot` state frame and
+/// the job's snapshot digest; v4 the job's telemetry interval and the
+/// `spiffi-telemetry` frame a worker streams back. v5 moved every record
+/// onto the snap token grammar: the job's config is its
+/// [`SystemConfig::snap_export`] tokens, and results are token lines
+/// instead of JSON.
+pub const PROTO_VERSION: u32 = 5;
 
 /// One probe-replication job: simulate `config` at `terminals` terminals,
 /// replication `replication` (the worker derives the replication seed from
@@ -136,75 +136,119 @@ pub enum WireError {
     /// The record is not of the expected kind at all (wrong prefix — e.g.
     /// a stray diagnostic line on the worker's stdout).
     UnknownRecord,
-    /// The record ends mid-field (a worker killed while writing).
-    Truncated,
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field's value failed to parse.
-    BadValue {
-        /// Which field.
-        field: &'static str,
-        /// The offending text (truncated for display).
-        value: String,
-    },
+    /// The record's tokens failed to decode: cut short (a worker killed
+    /// while writing), a field missing or malformed, tokens left over, or
+    /// a frame body that does not match its digest.
+    Snap(SnapError),
+}
+
+impl From<SnapError> for WireError {
+    fn from(e: SnapError) -> Self {
+        WireError::Snap(e)
+    }
 }
 
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Version { got, want } => {
-                write!(
-                    f,
-                    "protocol version mismatch: record v{got}, this build v{want}"
-                )
-            }
+            WireError::Version { got, want } => write!(f, "wire v{got}, this build speaks v{want}"),
             WireError::UnknownRecord => write!(f, "not a recognized wire record"),
-            WireError::Truncated => write!(f, "record truncated mid-field"),
-            WireError::MissingField(k) => write!(f, "missing field `{k}`"),
-            WireError::BadValue { field, value } => {
-                write!(f, "bad value for `{field}`: {value:?}")
-            }
+            WireError::Snap(e) => write!(f, "malformed record: {e}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-fn enc_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn dec_f64(field: &'static str, s: &str) -> Result<f64, WireError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| bad(field, s))
-}
-
-fn bad(field: &'static str, value: &str) -> WireError {
-    let mut value: String = value.chars().take(40).collect();
-    if value.is_empty() {
-        value.push_str("<empty>");
-    }
-    WireError::BadValue { field, value }
-}
-
-/// FNV-1a 64: the content digest for snapshot frames. Chosen for being
-/// four lines of dependency-free code with good avalanche on text — the
-/// digest guards against truncation and byte corruption on a local pipe,
-/// not against an adversary.
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// The content digest a snapshot (or telemetry) body carries on the wire
+/// — what a job's `snap` token references. FNV-1a 64, chosen for being
+/// four lines of dependency-free code with good avalanche on text: it
+/// guards against truncation and byte corruption on a local pipe, not
+/// against an adversary.
+pub fn snapshot_digest(body: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
+    for &b in body.as_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
 
-/// The content digest a snapshot body will carry on the wire — what a
-/// job's `snap=` token references.
-pub fn snapshot_digest(body: &str) -> u64 {
-    fnv1a64(body.as_bytes())
+const JOB: &str = "spiffi-job/";
+const RESULT: &str = "spiffi-result/";
+const SNAPSHOT: &str = "spiffi-snapshot/";
+const TELEMETRY: &str = "spiffi-telemetry/";
+
+/// Check a line's `spiffi-<kind>/<version>` head (`kind` includes the
+/// slash) and return the tokens after it.
+fn open<'a>(line: &'a str, kind: &str) -> Result<&'a str, WireError> {
+    let rest = line
+        .trim_end_matches(['\r', '\n'])
+        .strip_prefix(kind)
+        .ok_or(WireError::UnknownRecord)?;
+    let (version, tokens) = rest.split_once(' ').unwrap_or((rest, ""));
+    let got = version.parse().map_err(|_| SnapError::BadValue {
+        key: "version",
+        value: version.chars().take(40).collect(),
+    })?;
+    if got != PROTO_VERSION {
+        return Err(WireError::Version {
+            got,
+            want: PROTO_VERSION,
+        });
+    }
+    Ok(tokens)
+}
+
+/// Close a job or result record: its final token is `end=1`, so a line
+/// cut anywhere — even inside its last number — fails to parse, and
+/// nothing may follow it.
+fn close(mut r: SnapReader<'_>) -> Result<(), WireError> {
+    if !r.bool("end")? {
+        return Err(SnapError::BadValue {
+            key: "end",
+            value: "0".into(),
+        }
+        .into());
+    }
+    Ok(r.finish()?)
+}
+
+/// Encode a digest-framed line: `spiffi-<kind>/<version> digest=…`, the
+/// `header` tokens, then `body` verbatim.
+fn encode_frame(kind: &str, header: &[(&str, u64)], body: &str) -> String {
+    let mut w = SnapWriter::new();
+    w.u64("digest", snapshot_digest(body));
+    for &(key, v) in header {
+        w.u64(key, v);
+    }
+    format!("{kind}{PROTO_VERSION} {} {body}", w.finish())
+}
+
+/// Split a digest-framed line into its digest, a reader over its other
+/// `header_tokens` header tokens, and its body, which must hash to the
+/// digest. A frame truncated or corrupted anywhere in its (possibly
+/// large) body fails here, before any of the body is interpreted.
+fn open_frame<'a>(
+    line: &'a str,
+    kind: &str,
+    header_tokens: usize,
+) -> Result<(u64, SnapReader<'a>, &'a str), WireError> {
+    let rest = open(line, kind)?;
+    let (header, body) = match rest.match_indices(' ').nth(header_tokens) {
+        Some((at, _)) => (&rest[..at], &rest[at + 1..]),
+        None => (rest, ""),
+    };
+    let mut r = SnapReader::new(header);
+    let digest = r.u64("digest")?;
+    if snapshot_digest(body) != digest {
+        return Err(SnapError::BadValue {
+            key: "digest",
+            value: digest.to_string(),
+        }
+        .into());
+    }
+    Ok((digest, r, body))
 }
 
 /// Encode a snapshot frame as one protocol line (no trailing newline).
@@ -212,525 +256,100 @@ pub fn snapshot_digest(body: &str) -> u64 {
 /// token stream; the digest is computed here so an encoded frame always
 /// verifies.
 pub fn encode_snapshot(base: u32, replication: u32, body: &str) -> String {
-    format!(
-        "spiffi-snapshot/{PROTO_VERSION} digest={:016x} base={base} repl={replication} {body}",
-        snapshot_digest(body)
-    )
-}
-
-/// Split `key=value ` off the front of a snapshot-frame header, returning
-/// `(value, rest)`. Header fields are single-space separated by
-/// construction ([`encode_snapshot`]); a missing key is
-/// [`WireError::MissingField`], a missing separator (line cut inside the
-/// header) is [`WireError::Truncated`].
-fn take_kv<'a>(rest: &'a str, key: &'static str) -> Result<(&'a str, &'a str), WireError> {
-    let rest = rest
-        .strip_prefix(key)
-        .and_then(|r| r.strip_prefix('='))
-        .ok_or(WireError::MissingField(key))?;
-    rest.split_once(' ').ok_or(WireError::Truncated)
+    let header = [("base", base.into()), ("repl", replication.into())];
+    encode_frame(SNAPSHOT, &header, body)
 }
 
 /// Parse one snapshot frame, verifying the digest over the body. A digest
-/// mismatch — a frame truncated or corrupted anywhere in its (large) body
-/// — is `BadValue{field:"digest"}`, so the worker falls back to building
-/// from scratch instead of importing corrupt state.
+/// mismatch is an error, so the worker falls back to building from
+/// scratch instead of importing corrupt state.
 pub fn parse_snapshot(line: &str) -> Result<SnapshotRecord<'_>, WireError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    let rest = line
-        .strip_prefix("spiffi-snapshot/")
-        .ok_or(WireError::UnknownRecord)?;
-    let (version, rest) = rest.split_once(' ').ok_or(WireError::Truncated)?;
-    let got: u32 = version.parse().map_err(|_| bad("version", version))?;
-    if got != PROTO_VERSION {
-        return Err(WireError::Version {
-            got,
-            want: PROTO_VERSION,
-        });
-    }
-    let (d, rest) = take_kv(rest, "digest")?;
-    let digest = u64::from_str_radix(d, 16).map_err(|_| bad("digest", d))?;
-    let (b, rest) = take_kv(rest, "base")?;
-    let base = b.parse().map_err(|_| bad("base", b))?;
-    let (r, body) = take_kv(rest, "repl")?;
-    let replication = r.parse().map_err(|_| bad("repl", r))?;
-    if snapshot_digest(body) != digest {
-        return Err(bad("digest", d));
-    }
-    Ok(SnapshotRecord {
+    let (digest, mut r, body) = open_frame(line, SNAPSHOT, 2)?;
+    let record = SnapshotRecord {
         digest,
-        base,
-        replication,
+        base: r.u32("base")?,
+        replication: r.u32("repl")?,
         body,
-    })
+    };
+    r.finish()?;
+    Ok(record)
 }
 
 /// Encode a job as one protocol line (no trailing newline).
 pub fn encode_job(job: &JobRecord) -> String {
-    use std::fmt::Write as _;
-    let c = &job.config;
-    let mut s = format!(
-        "spiffi-job/{PROTO_VERSION} id={} n={} r={} base={}",
-        job.id,
-        job.terminals,
-        job.replication,
-        match job.base {
-            None => "none".to_string(),
-            Some(b) => b.to_string(),
-        },
-    );
-    let _ = write!(
-        s,
-        " nodes={} disks={} videos={} brate={} fps={} vdur={}",
-        c.topology.nodes,
-        c.topology.disks_per_node,
-        c.n_videos,
-        c.video.bit_rate_bps,
-        c.video.fps,
-        c.video.duration.0,
-    );
-    let _ = write!(
-        s,
-        " access={} place={} stripe={} smem={} tmem={} terms={}",
-        match c.access {
-            AccessPattern::Uniform => "uniform".to_string(),
-            AccessPattern::Zipf(z) => format!("zipf:{}", enc_f64(z)),
-        },
-        match c.placement {
-            Placement::Striped => "striped".to_string(),
-            Placement::NonStriped => "nonstriped".to_string(),
-            Placement::StripeGroup { width } => format!("group:{width}"),
-        },
-        c.stripe_bytes,
-        c.server_memory_bytes,
-        c.terminal_memory_bytes,
-        c.n_terminals,
-    );
-    let _ = write!(
-        s,
-        " sched={} policy={} pf={}",
-        match c.scheduler {
-            SchedulerKind::Fcfs => "fcfs".to_string(),
-            SchedulerKind::Edf => "edf".to_string(),
-            SchedulerKind::Elevator => "elevator".to_string(),
-            SchedulerKind::RoundRobin => "rr".to_string(),
-            SchedulerKind::Gss { groups } => format!("gss:{groups}"),
-            SchedulerKind::RealTime { classes, spacing } => {
-                format!("rt:{classes}:{}", spacing.0)
-            }
-        },
-        match c.policy {
-            PolicyKind::GlobalLru => "lru",
-            PolicyKind::LovePrefetch => "love",
-        },
-        match c.prefetch {
-            PrefetchKind::Off => "off".to_string(),
-            PrefetchKind::Standard { processes } => format!("std:{processes}"),
-            PrefetchKind::RealTime { processes } => format!("rt:{processes}"),
-            PrefetchKind::Delayed {
-                processes,
-                max_advance,
-            } => format!("delayed:{processes}:{}", max_advance.0),
-        },
-    );
-    let _ = write!(
-        s,
-        " dseek={} dsettle={} drot={} dxfer={} dcylb={} dctxs={} dctxb={} dncyl={}",
-        enc_f64(c.disk.seek_factor_ms),
-        c.disk.settle.0,
-        c.disk.rotation.0,
-        enc_f64(c.disk.transfer_bytes_per_sec),
-        c.disk.cylinder_bytes,
-        c.disk.cache_contexts,
-        c.disk.context_bytes,
-        c.disk.num_cylinders,
-    );
-    let _ = write!(
-        s,
-        " mips={} cio={} csend={} crecv={} netd={} netb={}",
-        enc_f64(c.cpu.mips),
-        c.cpu.start_io_instr,
-        c.cpu.send_msg_instr,
-        c.cpu.recv_msg_instr,
-        c.net.base_delay.0,
-        enc_f64(c.net.ns_per_byte),
-    );
-    let _ = write!(
-        s,
-        " pause={} piggy={} speedup={} ipos={} stagger={} warmup={} measure={} seed={}",
-        match c.pause {
-            None => "none".to_string(),
-            Some(p) => format!("{}:{}", enc_f64(p.mean_pauses_per_video), p.mean_duration.0),
-        },
-        match c.piggyback_delay {
-            None => "none".to_string(),
-            Some(d) => d.0.to_string(),
-        },
-        match c.search_speedup {
-            None => "none".to_string(),
-            Some(v) => v.to_string(),
-        },
-        match c.initial_position {
-            InitialPosition::Start => "start",
-            InitialPosition::UniformWithinVideo => "uniform",
-        },
-        c.timing.stagger.0,
-        c.timing.warmup.0,
-        c.timing.measure.0,
-        c.seed,
-    );
+    let mut w = SnapWriter::new();
+    w.u64("id", job.id);
+    w.u32("n", job.terminals);
+    w.u32("r", job.replication);
+    w.bool("hb", job.base.is_some());
+    if let Some(b) = job.base {
+        w.u32("base", b);
+    }
+    w.bool("hs", job.snapshot.is_some());
     if let Some(digest) = job.snapshot {
-        let _ = write!(s, " snap={digest:016x}");
+        w.u64("snap", digest);
     }
+    w.bool("ht", job.telemetry.is_some());
     if let Some(interval_ns) = job.telemetry {
-        let _ = write!(s, " telem={interval_ns}");
+        w.u64("telem", interval_ns);
     }
-    if let Some(scenario) = &c.scenario {
-        let _ = write!(s, " scn={}", scenario.encode_wire());
-    }
-    s
-}
-
-/// The `key=value` tokens of a job line, with version and kind checked.
-struct Fields<'a> {
-    tokens: Vec<(&'a str, &'a str)>,
-}
-
-impl<'a> Fields<'a> {
-    fn of(line: &'a str) -> Result<Fields<'a>, WireError> {
-        let line = line.trim_end_matches(['\r', '\n']);
-        let mut parts = line.split_ascii_whitespace();
-        let head = parts.next().ok_or(WireError::UnknownRecord)?;
-        let version = head
-            .strip_prefix("spiffi-job/")
-            .ok_or(WireError::UnknownRecord)?;
-        let got: u32 = version.parse().map_err(|_| bad("version", version))?;
-        if got != PROTO_VERSION {
-            return Err(WireError::Version {
-                got,
-                want: PROTO_VERSION,
-            });
-        }
-        let mut tokens = Vec::new();
-        for tok in parts {
-            let (k, v) = tok.split_once('=').ok_or(WireError::Truncated)?;
-            tokens.push((k, v));
-        }
-        Ok(Fields { tokens })
-    }
-
-    fn raw(&self, key: &'static str) -> Result<&'a str, WireError> {
-        self.opt(key).ok_or(WireError::MissingField(key))
-    }
-
-    fn opt(&self, key: &'static str) -> Option<&'a str> {
-        self.tokens.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
-    }
-
-    fn num<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, WireError> {
-        let raw = self.raw(key)?;
-        raw.parse().map_err(|_| bad(key, raw))
-    }
-
-    fn dur(&self, key: &'static str) -> Result<SimDuration, WireError> {
-        Ok(SimDuration(self.num(key)?))
-    }
-
-    fn f64(&self, key: &'static str) -> Result<f64, WireError> {
-        dec_f64(key, self.raw(key)?)
-    }
+    job.config.snap_export(&mut w);
+    w.bool("end", true);
+    format!("{JOB}{PROTO_VERSION} {}", w.finish())
 }
 
 /// Parse one job line. Rejects wrong-version, truncated, and malformed
 /// lines with a typed [`WireError`].
 pub fn parse_job(line: &str) -> Result<JobRecord, WireError> {
-    let f = Fields::of(line)?;
-    let access = {
-        let raw = f.raw("access")?;
-        match raw.split_once(':') {
-            None if raw == "uniform" => AccessPattern::Uniform,
-            Some(("zipf", z)) => AccessPattern::Zipf(dec_f64("access", z)?),
-            _ => return Err(bad("access", raw)),
-        }
+    let mut r = SnapReader::new(open(line, JOB)?);
+    let job = JobRecord {
+        id: r.u64("id")?,
+        terminals: r.u32("n")?,
+        replication: r.u32("r")?,
+        base: r.bool("hb")?.then(|| r.u32("base")).transpose()?,
+        snapshot: r.bool("hs")?.then(|| r.u64("snap")).transpose()?,
+        telemetry: r.bool("ht")?.then(|| r.u64("telem")).transpose()?,
+        config: SystemConfig::snap_import(&mut r)?,
     };
-    let placement = {
-        let raw = f.raw("place")?;
-        match raw.split_once(':') {
-            None if raw == "striped" => Placement::Striped,
-            None if raw == "nonstriped" => Placement::NonStriped,
-            Some(("group", w)) => Placement::StripeGroup {
-                width: w.parse().map_err(|_| bad("place", raw))?,
-            },
-            _ => return Err(bad("place", raw)),
-        }
-    };
-    let scheduler = {
-        let raw = f.raw("sched")?;
-        let mut it = raw.split(':');
-        match it.next() {
-            Some("fcfs") => SchedulerKind::Fcfs,
-            Some("edf") => SchedulerKind::Edf,
-            Some("elevator") => SchedulerKind::Elevator,
-            Some("rr") => SchedulerKind::RoundRobin,
-            Some("gss") => SchedulerKind::Gss {
-                groups: it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("sched", raw))?,
-            },
-            Some("rt") => SchedulerKind::RealTime {
-                classes: it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad("sched", raw))?,
-                spacing: SimDuration(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("sched", raw))?,
-                ),
-            },
-            _ => return Err(bad("sched", raw)),
-        }
-    };
-    let policy = match f.raw("policy")? {
-        "lru" => PolicyKind::GlobalLru,
-        "love" => PolicyKind::LovePrefetch,
-        other => return Err(bad("policy", other)),
-    };
-    let prefetch = {
-        let raw = f.raw("pf")?;
-        let mut it = raw.split(':');
-        let proc_arg = |it: &mut std::str::Split<'_, char>| {
-            it.next()
-                .and_then(|v| v.parse::<u32>().ok())
-                .ok_or_else(|| bad("pf", raw))
-        };
-        match it.next() {
-            Some("off") => PrefetchKind::Off,
-            Some("std") => PrefetchKind::Standard {
-                processes: proc_arg(&mut it)?,
-            },
-            Some("rt") => PrefetchKind::RealTime {
-                processes: proc_arg(&mut it)?,
-            },
-            Some("delayed") => PrefetchKind::Delayed {
-                processes: proc_arg(&mut it)?,
-                max_advance: SimDuration(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad("pf", raw))?,
-                ),
-            },
-            _ => return Err(bad("pf", raw)),
-        }
-    };
-    let pause = {
-        let raw = f.raw("pause")?;
-        match raw {
-            "none" => None,
-            _ => {
-                let (m, d) = raw.split_once(':').ok_or_else(|| bad("pause", raw))?;
-                Some(PauseConfig {
-                    mean_pauses_per_video: dec_f64("pause", m)?,
-                    mean_duration: SimDuration(d.parse().map_err(|_| bad("pause", raw))?),
-                })
-            }
-        }
-    };
-    let piggyback_delay = match f.raw("piggy")? {
-        "none" => None,
-        raw => Some(SimDuration(raw.parse().map_err(|_| bad("piggy", raw))?)),
-    };
-    let search_speedup = match f.raw("speedup")? {
-        "none" => None,
-        raw => Some(raw.parse().map_err(|_| bad("speedup", raw))?),
-    };
-    let initial_position = match f.raw("ipos")? {
-        "start" => InitialPosition::Start,
-        "uniform" => InitialPosition::UniformWithinVideo,
-        other => return Err(bad("ipos", other)),
-    };
-    // `scn=` is optional like `snap=`/`telem=`: absence means a clean run.
-    let scenario = match f.opt("scn") {
-        None => None,
-        Some(raw) => {
-            Some(crate::scenario::Scenario::decode_wire(raw).map_err(|_| bad("scn", raw))?)
-        }
-    };
-    let config = SystemConfig {
-        topology: spiffi_layout::Topology {
-            nodes: f.num("nodes")?,
-            disks_per_node: f.num("disks")?,
-        },
-        n_videos: f.num("videos")?,
-        video: spiffi_mpeg::VideoParams {
-            bit_rate_bps: f.num("brate")?,
-            fps: f.num("fps")?,
-            duration: f.dur("vdur")?,
-        },
-        access,
-        placement,
-        stripe_bytes: f.num("stripe")?,
-        server_memory_bytes: f.num("smem")?,
-        terminal_memory_bytes: f.num("tmem")?,
-        n_terminals: f.num("terms")?,
-        scheduler,
-        policy,
-        prefetch,
-        disk: spiffi_disk::DiskParams {
-            seek_factor_ms: f.f64("dseek")?,
-            settle: f.dur("dsettle")?,
-            rotation: f.dur("drot")?,
-            transfer_bytes_per_sec: f.f64("dxfer")?,
-            cylinder_bytes: f.num("dcylb")?,
-            cache_contexts: f.num("dctxs")?,
-            context_bytes: f.num("dctxb")?,
-            num_cylinders: f.num("dncyl")?,
-        },
-        cpu: spiffi_cpu::CpuParams {
-            mips: f.f64("mips")?,
-            start_io_instr: f.num("cio")?,
-            send_msg_instr: f.num("csend")?,
-            recv_msg_instr: f.num("crecv")?,
-        },
-        net: spiffi_net::NetParams {
-            base_delay: f.dur("netd")?,
-            ns_per_byte: f.f64("netb")?,
-        },
-        pause,
-        piggyback_delay,
-        search_speedup,
-        initial_position,
-        timing: crate::config::RunTiming {
-            stagger: f.dur("stagger")?,
-            warmup: f.dur("warmup")?,
-            measure: f.dur("measure")?,
-        },
-        seed: f.num("seed")?,
-        scenario,
-    };
-    let base = match f.raw("base")? {
-        "none" => None,
-        raw => Some(raw.parse().map_err(|_| bad("base", raw))?),
-    };
-    // `snap=` and `telem=` are the optional tokens: dispatchers only
-    // emit `snap=` for jobs that can fork a shipped snapshot and
-    // `telem=` when telemetry was requested; absence means "build from
-    // scratch" / "no telemetry" — not a malformed line.
-    let snapshot = match f.opt("snap") {
-        None => None,
-        Some(raw) => Some(u64::from_str_radix(raw, 16).map_err(|_| bad("snap", raw))?),
-    };
-    let telemetry = match f.opt("telem") {
-        None => None,
-        Some(raw) => Some(raw.parse().map_err(|_| bad("telem", raw))?),
-    };
-    Ok(JobRecord {
-        id: f.num("id")?,
-        terminals: f.num("n")?,
-        replication: f.num("r")?,
-        base,
-        snapshot,
-        telemetry,
-        config,
-    })
+    close(r)?;
+    Ok(job)
 }
 
-/// Encode a result as one JSONL record (no trailing newline).
+/// Encode a result as one protocol line (no trailing newline). An error
+/// message is untrusted text (library build failures, panics), so it
+/// travels hex-encoded in one token: no character of it — above all a
+/// newline — can break the line framing.
 pub fn encode_result(result: &ResultRecord) -> String {
+    let mut w = SnapWriter::new();
+    w.u64("job", result.id);
+    w.bool("ok", result.outcome.is_ok());
     match &result.outcome {
-        Ok(out) => format!(
-            "{{\"spiffi_worker\":{PROTO_VERSION},\"job\":{},\"ok\":true,\
-             \"glitches\":{},\"events\":{},\"wall_nanos\":{}}}",
-            result.id, out.glitches, out.events, out.wall_nanos
-        ),
-        // The error string is untrusted text (library build failures,
-        // panics): escape it with the shared JSON helper so a control
-        // character — above all a newline — can never break the line
-        // framing or produce unparseable JSON.
-        Err(msg) => format!(
-            "{{\"spiffi_worker\":{PROTO_VERSION},\"job\":{},\"ok\":false,\"error\":\"{}\"}}",
-            result.id,
-            spiffi_trace::json::escaped(msg),
-        ),
+        Ok(out) => {
+            w.u64("gl", out.glitches);
+            w.u64("ev", out.events);
+            w.u64("wn", out.wall_nanos);
+        }
+        Err(msg) => w.text("err", msg),
     }
-}
-
-/// Extract the numeric value of `"key":<digits>` from a flat JSON object.
-fn json_u64(line: &str, key: &'static str) -> Result<u64, WireError> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat).ok_or(WireError::MissingField(key))? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .ok_or(WireError::Truncated)?;
-    if end == 0 {
-        return Err(bad(key, &rest[..rest.len().min(12)]));
-    }
-    rest[..end].parse().map_err(|_| bad(key, &rest[..end]))
+    w.bool("end", true);
+    format!("{RESULT}{PROTO_VERSION} {}", w.finish())
 }
 
 /// Parse one worker result record. Rejects wrong-version, truncated, and
-/// malformed records with a typed [`WireError`]; a lost closing brace (a
-/// worker killed mid-write) is [`WireError::Truncated`].
+/// malformed records with a typed [`WireError`].
 pub fn parse_result(line: &str) -> Result<ResultRecord, WireError> {
-    let line = line.trim();
-    if !line.starts_with("{\"spiffi_worker\":") {
-        return Err(WireError::UnknownRecord);
-    }
-    // Checked narrowing: a 64-bit "version" (corrupt output, or a future
-    // build whose version outgrew u32) must surface as a typed error, not
-    // silently truncate into a version we think we speak.
-    let raw_version = json_u64(line, "spiffi_worker")?;
-    let got =
-        u32::try_from(raw_version).map_err(|_| bad("spiffi_worker", &raw_version.to_string()))?;
-    if got != PROTO_VERSION {
-        return Err(WireError::Version {
-            got,
-            want: PROTO_VERSION,
-        });
-    }
-    if !line.ends_with('}') {
-        return Err(WireError::Truncated);
-    }
-    let id = json_u64(line, "job")?;
-    let outcome = if line.contains("\"ok\":true") {
+    let mut r = SnapReader::new(open(line, RESULT)?);
+    let id = r.u64("job")?;
+    let outcome = if r.bool("ok")? {
         Ok(WorkerOutcome {
-            glitches: json_u64(line, "glitches")?,
-            events: json_u64(line, "events")?,
-            wall_nanos: json_u64(line, "wall_nanos")?,
+            glitches: r.u64("gl")?,
+            events: r.u64("ev")?,
+            wall_nanos: r.u64("wn")?,
         })
-    } else if line.contains("\"ok\":false") {
-        let pat = "\"error\":\"";
-        let at = line.find(pat).ok_or(WireError::MissingField("error"))? + pat.len();
-        let mut msg = String::new();
-        let mut chars = line[at..].chars();
-        loop {
-            match chars.next() {
-                Some('\\') => match chars.next() {
-                    Some('n') => msg.push('\n'),
-                    Some('r') => msg.push('\r'),
-                    Some('t') => msg.push('\t'),
-                    Some('u') => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        if hex.len() < 4 {
-                            return Err(WireError::Truncated);
-                        }
-                        let code = u32::from_str_radix(&hex, 16).map_err(|_| bad("error", &hex))?;
-                        msg.push(char::from_u32(code).ok_or_else(|| bad("error", &hex))?);
-                    }
-                    Some(c) => msg.push(c),
-                    None => return Err(WireError::Truncated),
-                },
-                Some('"') => break,
-                Some(c) => msg.push(c),
-                None => return Err(WireError::Truncated),
-            }
-        }
-        Err(msg)
     } else {
-        return Err(WireError::MissingField("ok"));
+        Err(r.text("err")?)
     };
+    close(r)?;
     Ok(ResultRecord { id, outcome })
 }
 
@@ -753,10 +372,6 @@ pub struct TelemetrySpan {
 
 /// The phase labels a [`TelemetrySpan`] may carry, in canonical order.
 pub const PHASE_LABELS: [&str; 5] = ["warmup", "import", "fork", "simulate", "measure"];
-
-fn phase_label(raw: &str) -> Option<&'static str> {
-    PHASE_LABELS.iter().find(|&&l| l == raw).copied()
-}
 
 /// One fixed-interval probe sample, the wire form of a trace
 /// `SampleRow`. Utilizations ride as IEEE-754 bit patterns so the
@@ -815,166 +430,102 @@ pub struct TelemetryRecord {
 }
 
 fn telemetry_body(rec: &TelemetryRecord) -> String {
-    use std::fmt::Write as _;
     let d = &rec.delta;
-    let mut s = format!(
-        "iv={} gl={} ev={} iw={} fw={} sw={} fk={} du={}",
-        rec.interval_ns,
-        d.glitches,
-        d.events,
-        d.import_wall_nanos,
-        d.fork_wall_nanos,
-        d.simulate_wall_nanos,
-        d.forked as u8,
-        enc_f64(d.avg_disk_utilization),
-    );
-    let _ = write!(s, " ns={}", rec.spans.len());
-    for (i, sp) in rec.spans.iter().enumerate() {
-        let _ = write!(
-            s,
-            " s{i}={}:{}:{}:{}",
-            sp.label, sp.sim_start, sp.sim_end, sp.wall_nanos
-        );
+    let mut w = SnapWriter::new();
+    w.u64("iv", rec.interval_ns);
+    w.u64("gl", d.glitches);
+    w.u64("ev", d.events);
+    w.u64("iw", d.import_wall_nanos);
+    w.u64("fw", d.fork_wall_nanos);
+    w.u64("sw", d.simulate_wall_nanos);
+    w.bool("fk", d.forked);
+    w.f64("du", d.avg_disk_utilization);
+    w.usize("ns", rec.spans.len());
+    for span in &rec.spans {
+        // A label outside PHASE_LABELS encodes out of range, so the
+        // dispatcher drops the frame instead of mislabelling a span.
+        let label = PHASE_LABELS.iter().position(|&l| l == span.label);
+        w.usize("sl", label.unwrap_or(PHASE_LABELS.len()));
+        w.u64("s0", span.sim_start);
+        w.u64("s1", span.sim_end);
+        w.u64("sw", span.wall_nanos);
     }
-    let _ = write!(s, " nr={}", rec.samples.len());
-    for (i, r) in rec.samples.iter().enumerate() {
-        let _ = write!(
-            s,
-            " r{i}={}:{}:{}:{}:",
-            r.t_ns, r.net_bytes, r.pool_in_use, r.outstanding_deadlines
-        );
-        for (j, u) in r.disk_util.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{:016x}", u.to_bits());
+    w.usize("nr", rec.samples.len());
+    for sample in &rec.samples {
+        w.u64("t", sample.t_ns);
+        w.u64("nb", sample.net_bytes);
+        w.u64("pu", sample.pool_in_use);
+        w.u64("od", sample.outstanding_deadlines);
+        w.usize("nd", sample.disk_util.len());
+        for &u in &sample.disk_util {
+            w.f64("u", u);
         }
     }
-    s
+    w.finish()
 }
 
 /// Encode a telemetry frame as one protocol line (no trailing newline).
 /// Digest-framed like snapshots: the FNV-1a 64 digest over the body is
 /// computed here, so an encoded frame always verifies.
 pub fn encode_telemetry(rec: &TelemetryRecord) -> String {
-    let body = telemetry_body(rec);
-    format!(
-        "spiffi-telemetry/{PROTO_VERSION} digest={:016x} job={} {body}",
-        snapshot_digest(&body),
-        rec.job,
-    )
+    encode_frame(TELEMETRY, &[("job", rec.job)], &telemetry_body(rec))
 }
 
-/// Parse one telemetry frame, verifying the digest over the body first —
-/// a frame truncated or corrupted anywhere is `BadValue{field:"digest"}`
-/// before any field is interpreted. Telemetry is observability, never
+/// Parse one telemetry frame, verifying the digest over the body before
+/// any field is interpreted. Telemetry is observability, never
 /// correctness: the dispatcher drops bad frames (counted) and the search
 /// proceeds on the result line alone.
 pub fn parse_telemetry(line: &str) -> Result<TelemetryRecord, WireError> {
-    let line = line.trim_end_matches(['\r', '\n']);
-    let rest = line
-        .strip_prefix("spiffi-telemetry/")
-        .ok_or(WireError::UnknownRecord)?;
-    let (version, rest) = rest.split_once(' ').ok_or(WireError::Truncated)?;
-    let got: u32 = version.parse().map_err(|_| bad("version", version))?;
-    if got != PROTO_VERSION {
-        return Err(WireError::Version {
-            got,
-            want: PROTO_VERSION,
-        });
-    }
-    let (d, rest) = take_kv(rest, "digest")?;
-    let digest = u64::from_str_radix(d, 16).map_err(|_| bad("digest", d))?;
-    let (j, body) = take_kv(rest, "job")?;
-    let job = j.parse().map_err(|_| bad("job", j))?;
-    if snapshot_digest(body) != digest {
-        return Err(bad("digest", d));
-    }
-
-    let mut tokens = Vec::new();
-    for tok in body.split_ascii_whitespace() {
-        let (k, v) = tok.split_once('=').ok_or(WireError::Truncated)?;
-        tokens.push((k, v));
-    }
-    let raw = |key: &'static str| -> Result<&str, WireError> {
-        tokens
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|&(_, v)| v)
-            .ok_or(WireError::MissingField(key))
-    };
-    let num = |key: &'static str| -> Result<u64, WireError> {
-        let v = raw(key)?;
-        v.parse().map_err(|_| bad(key, v))
-    };
-    let indexed = |prefix: char, i: usize, field: &'static str| -> Result<&str, WireError> {
-        let want = format!("{prefix}{i}");
-        tokens
-            .iter()
-            .find(|(k, _)| *k == want)
-            .map(|&(_, v)| v)
-            .ok_or(WireError::MissingField(field))
-    };
-
-    let interval_ns = num("iv")?;
-    let forked = match raw("fk")? {
-        "0" => false,
-        "1" => true,
-        other => return Err(bad("fk", other)),
-    };
+    let (_, mut header, body) = open_frame(line, TELEMETRY, 1)?;
+    let job = header.u64("job")?;
+    header.finish()?;
+    let mut r = SnapReader::new(body);
+    let interval_ns = r.u64("iv")?;
     let delta = TelemetryDelta {
-        glitches: num("gl")?,
-        events: num("ev")?,
-        import_wall_nanos: num("iw")?,
-        fork_wall_nanos: num("fw")?,
-        simulate_wall_nanos: num("sw")?,
-        forked,
-        avg_disk_utilization: dec_f64("du", raw("du")?)?,
+        glitches: r.u64("gl")?,
+        events: r.u64("ev")?,
+        import_wall_nanos: r.u64("iw")?,
+        fork_wall_nanos: r.u64("fw")?,
+        simulate_wall_nanos: r.u64("sw")?,
+        forked: r.bool("fk")?,
+        avg_disk_utilization: r.f64("du")?,
     };
-
-    let n_spans = num("ns")? as usize;
-    let mut spans = Vec::with_capacity(n_spans.min(64));
-    for i in 0..n_spans {
-        let v = indexed('s', i, "span")?;
-        let mut it = v.split(':');
-        let mut part = || it.next().ok_or(WireError::Truncated);
-        let label = phase_label(part()?).ok_or_else(|| bad("span", v))?;
-        let parse_u64 = |s: &str| s.parse::<u64>().map_err(|_| bad("span", s));
+    // The list counts are untrusted: capacity is capped, and the lists
+    // grow only as entries actually decode.
+    let n_spans = r.usize("ns")?;
+    let mut spans = Vec::with_capacity(n_spans.min(PHASE_LABELS.len()));
+    for _ in 0..n_spans {
+        let i = r.usize("sl")?;
+        let label = *PHASE_LABELS.get(i).ok_or_else(|| SnapError::BadValue {
+            key: "sl",
+            value: i.to_string(),
+        })?;
         spans.push(TelemetrySpan {
             label,
-            sim_start: parse_u64(part()?)?,
-            sim_end: parse_u64(part()?)?,
-            wall_nanos: parse_u64(part()?)?,
+            sim_start: r.u64("s0")?,
+            sim_end: r.u64("s1")?,
+            wall_nanos: r.u64("sw")?,
         });
     }
-
-    let n_rows = num("nr")? as usize;
-    let mut samples = Vec::with_capacity(n_rows.min(4096));
-    for i in 0..n_rows {
-        let v = indexed('r', i, "sample")?;
-        let mut it = v.splitn(5, ':');
-        let mut part = || it.next().ok_or(WireError::Truncated);
-        let parse_u64 = |s: &str| s.parse::<u64>().map_err(|_| bad("sample", s));
-        let t_ns = parse_u64(part()?)?;
-        let net_bytes = parse_u64(part()?)?;
-        let pool_in_use = parse_u64(part()?)?;
-        let outstanding_deadlines = parse_u64(part()?)?;
-        let utils = part()?;
-        let mut disk_util = Vec::new();
-        if !utils.is_empty() {
-            for h in utils.split(',') {
-                disk_util.push(dec_f64("sample", h)?);
-            }
-        }
+    let n_samples = r.usize("nr")?;
+    let mut samples = Vec::with_capacity(n_samples.min(4096));
+    for _ in 0..n_samples {
         samples.push(TelemetrySample {
-            t_ns,
-            net_bytes,
-            pool_in_use,
-            outstanding_deadlines,
-            disk_util,
+            t_ns: r.u64("t")?,
+            net_bytes: r.u64("nb")?,
+            pool_in_use: r.u64("pu")?,
+            outstanding_deadlines: r.u64("od")?,
+            disk_util: {
+                let n_disks = r.usize("nd")?;
+                let mut utils = Vec::with_capacity(n_disks.min(64));
+                for _ in 0..n_disks {
+                    utils.push(r.f64("u")?);
+                }
+                utils
+            },
         });
     }
-
+    r.finish()?;
     Ok(TelemetryRecord {
         job,
         interval_ns,
@@ -987,7 +538,13 @@ pub fn parse_telemetry(line: &str) -> Result<TelemetryRecord, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ProbeCache;
+    use crate::config::PauseConfig;
+    use crate::scenario::{BitrateMix, FaultSpec, Scenario};
+    use spiffi_layout::Placement;
+    use spiffi_mpeg::AccessPattern;
+    use spiffi_prefetch::PrefetchKind;
+    use spiffi_sched::SchedulerKind;
+    use spiffi_simcore::SimDuration;
 
     fn job(cfg: SystemConfig) -> JobRecord {
         JobRecord {
@@ -999,6 +556,72 @@ mod tests {
             telemetry: None,
             config: cfg,
         }
+    }
+
+    /// Configs at the edges of the codec: every enum arm with a payload,
+    /// every optional field present, a scenario with every fault kind,
+    /// floats hugging their domains, and integers at their limits. They
+    /// need not validate — the wire round-trips what it is given; the
+    /// worker validates before simulating.
+    fn exotic_configs() -> Vec<SystemConfig> {
+        let mut exotic = SystemConfig::paper_base();
+        exotic.access = AccessPattern::Zipf(0.271828);
+        exotic.placement = Placement::StripeGroup { width: 4 };
+        exotic.scheduler = SchedulerKind::RealTime {
+            classes: 3,
+            spacing: SimDuration::from_secs(4),
+        };
+        exotic.prefetch = PrefetchKind::Delayed {
+            processes: 2,
+            max_advance: SimDuration::from_secs(8),
+        };
+        exotic.pause = Some(PauseConfig::default());
+        exotic.piggyback_delay = Some(SimDuration::from_secs(300));
+        exotic.search_speedup = Some(10);
+        exotic.scenario = Some(Scenario {
+            faults: vec![
+                FaultSpec::DiskDeath {
+                    node: 0,
+                    disk: 1,
+                    at: SimDuration::from_secs(20),
+                },
+                FaultSpec::DiskDegrade {
+                    node: 1,
+                    disk: 0,
+                    at: SimDuration::from_secs(5),
+                    dur: SimDuration::from_secs(10),
+                    factor_pct: 200,
+                },
+                FaultSpec::AbandonBurst {
+                    at: SimDuration::from_secs(25),
+                    every: 3,
+                },
+            ],
+            mix: Some(BitrateMix {
+                every: 4,
+                bit_rate_bps: 15_000_000,
+            }),
+        });
+        let mut gss = SystemConfig::small_test().with_scheduler(SchedulerKind::Gss { groups: 2 });
+        gss.access = AccessPattern::Uniform;
+        gss.placement = Placement::NonStriped;
+        gss.prefetch = PrefetchKind::Off;
+        gss.scenario = Some(Scenario::default());
+        let mut edges = SystemConfig::small_test();
+        edges.access = AccessPattern::Zipf(f64::from_bits(0.5f64.to_bits() + 1));
+        edges.disk.seek_factor_ms = f64::MIN_POSITIVE;
+        edges.cpu.mips = 1.0 - 1e-12;
+        edges.stripe_bytes = u64::MAX;
+        edges.server_memory_bytes = u64::MAX;
+        edges.n_terminals = u32::MAX;
+        edges.seed = u64::MAX;
+        vec![
+            SystemConfig::small_test(),
+            SystemConfig::paper_base(),
+            exotic,
+            gss,
+            edges,
+        ]
     }
 
     fn telemetry_record() -> TelemetryRecord {
@@ -1047,492 +670,237 @@ mod tests {
                     net_bytes: 0,
                     pool_in_use: 0,
                     outstanding_deadlines: 0,
-                    disk_util: vec![0.0, 0.5, f64::from_bits(0.5f64.to_bits() + 1)],
+                    disk_util: vec![],
                 },
             ],
         }
     }
 
-    #[test]
-    fn job_round_trips_bit_identically() {
-        // Exercise every enum arm and optional field the config can carry.
-        let mut exotic = SystemConfig::paper_base();
-        exotic.access = AccessPattern::Zipf(0.271828);
-        exotic.placement = Placement::StripeGroup { width: 4 };
-        exotic.scheduler = SchedulerKind::RealTime {
-            classes: 3,
-            spacing: SimDuration::from_secs(4),
-        };
-        exotic.prefetch = PrefetchKind::Delayed {
-            processes: 2,
-            max_advance: SimDuration::from_secs(8),
-        };
-        exotic.pause = Some(PauseConfig::default());
-        exotic.piggyback_delay = Some(SimDuration::from_secs(300));
-        exotic.search_speedup = Some(10);
-        for cfg in [
-            SystemConfig::small_test(),
-            SystemConfig::paper_base(),
-            exotic,
-        ] {
-            for base in [None, Some(20u32)] {
-                let mut sent = job(cfg.clone());
-                sent.base = base;
-                let got = parse_job(&encode_job(&sent)).expect("round trip");
-                assert_eq!(got.base, base);
-            }
-            for snapshot in [
-                None,
-                Some(0u64),
-                Some(u64::MAX),
-                Some(0x00ab_cdef_0123_4567),
-            ] {
-                let mut sent = job(cfg.clone());
-                sent.base = Some(20);
-                sent.snapshot = snapshot;
-                let got = parse_job(&encode_job(&sent)).expect("round trip");
-                assert_eq!(got.snapshot, snapshot, "snap token drifted");
-            }
-            for telemetry in [None, Some(1u64), Some(1_000_000_000), Some(u64::MAX)] {
-                let mut sent = job(cfg.clone());
-                sent.telemetry = telemetry;
-                let got = parse_job(&encode_job(&sent)).expect("round trip");
-                assert_eq!(got.telemetry, telemetry, "telem token drifted");
-            }
-            for scenario in [
-                None,
-                Some(crate::scenario::Scenario::default()),
-                Some(crate::scenario::Scenario {
-                    faults: vec![
-                        crate::scenario::FaultSpec::DiskDeath {
-                            node: 0,
-                            disk: 1,
-                            at: SimDuration::from_secs(20),
-                        },
-                        crate::scenario::FaultSpec::DiskDegrade {
-                            node: 1,
-                            disk: 0,
-                            at: SimDuration::from_secs(5),
-                            dur: SimDuration::from_secs(10),
-                            factor_pct: 200,
-                        },
-                        crate::scenario::FaultSpec::AbandonBurst {
-                            at: SimDuration::from_secs(25),
-                            every: 3,
-                        },
-                    ],
-                    mix: Some(crate::scenario::BitrateMix {
-                        every: 4,
-                        bit_rate_bps: 15_000_000,
-                    }),
-                }),
-            ] {
-                let mut sent = job(cfg.clone());
-                sent.config.scenario = scenario.clone();
-                let got = parse_job(&encode_job(&sent)).expect("round trip");
-                assert_eq!(got.config.scenario, scenario, "scn token drifted");
-            }
-            let sent = job(cfg);
-            let got = parse_job(&encode_job(&sent)).expect("round trip");
-            assert_eq!(got.id, 42);
-            assert_eq!(got.terminals, 24);
-            assert_eq!(got.replication, 1);
-            // The probe fingerprint renders every field but n_terminals;
-            // equal fingerprints mean the decoded config is bit-identical
-            // as a probe input.
-            assert_eq!(
-                ProbeCache::fingerprint(&got.config),
-                ProbeCache::fingerprint(&sent.config),
-                "config drifted across the wire"
-            );
-            assert_eq!(got.config.n_terminals, sent.config.n_terminals);
+    /// One record kind under test: sample lines, and a decoder that
+    /// re-encodes whatever it decoded (so a round trip is a string
+    /// comparison, bit for bit).
+    struct Kind {
+        name: &'static str,
+        lines: Vec<String>,
+        reencode: fn(&str) -> Result<String, WireError>,
+    }
+
+    fn kinds() -> Vec<Kind> {
+        let mut jobs = Vec::new();
+        for cfg in exotic_configs() {
+            jobs.push(encode_job(&job(cfg.clone())));
+            let mut full = job(cfg);
+            full.id = u64::MAX;
+            full.terminals = u32::MAX;
+            full.replication = u32::MAX;
+            full.base = Some(u32::MAX);
+            full.snapshot = Some(u64::MAX);
+            full.telemetry = Some(1);
+            jobs.push(encode_job(&full));
         }
-    }
-
-    #[test]
-    fn job_parser_rejects_garbage_with_typed_errors() {
-        // SystemConfig has no PartialEq, so compare the errors alone.
-        let err = |line: &str| parse_job(line).expect_err("parse should fail");
-        assert_eq!(err(""), WireError::UnknownRecord);
-        assert_eq!(err("hello world"), WireError::UnknownRecord);
-        assert_eq!(
-            err("spiffi-job/999 id=1 n=2 r=0"),
-            WireError::Version {
-                got: 999,
-                want: PROTO_VERSION
-            }
-        );
-        // A token without `=` means the line was cut mid-token.
-        assert_eq!(err("spiffi-job/4 id=1 n=2 r=0 nod"), WireError::Truncated);
-        // A structurally fine line missing a config field.
-        assert_eq!(
-            err("spiffi-job/4 id=1 n=2 r=0"),
-            WireError::MissingField("access")
-        );
-        // A field with an unparseable value.
-        let good = encode_job(&job(SystemConfig::small_test()));
-        let mangled = good.replace("seed=", "seed=xyz_");
-        assert!(matches!(
-            parse_job(&mangled),
-            Err(WireError::BadValue { field: "seed", .. })
-        ));
-        // An unknown enum tag.
-        let mangled = good.replace("sched=", "sched=quantum_");
-        assert!(matches!(
-            parse_job(&mangled),
-            Err(WireError::BadValue { field: "sched", .. })
-        ));
-        // A non-hex snap digest.
-        let mut with_snap = job(SystemConfig::small_test());
-        with_snap.snapshot = Some(7);
-        let good = encode_job(&with_snap);
-        let mangled = good.replace("snap=", "snap=zz_");
-        assert!(matches!(
-            parse_job(&mangled),
-            Err(WireError::BadValue { field: "snap", .. })
-        ));
-        // A corrupt scenario token.
-        let mut with_scn = job(SystemConfig::small_test());
-        with_scn.config.scenario = Some(crate::scenario::Scenario {
-            faults: vec![crate::scenario::FaultSpec::DiskDeath {
-                node: 0,
-                disk: 1,
-                at: SimDuration::from_secs(20),
-            }],
-            mix: None,
-        });
-        let good = encode_job(&with_scn);
-        let mangled = good.replace("scn=k,", "scn=q,");
-        assert!(matches!(
-            parse_job(&mangled),
-            Err(WireError::BadValue { field: "scn", .. })
-        ));
-    }
-
-    /// Satellite coverage: adversarial configs at the edges of their
-    /// domains must round-trip bit-identically, and truncated or mangled
-    /// lines must come back as typed errors — never a panic, never a
-    /// silently wrong record.
-    #[test]
-    fn job_round_trips_adversarial_configs_and_survives_truncation() {
-        let mut cases = Vec::new();
-        // Zipf exponents hugging both ends of (0, 1): the f64 hex encoding
-        // must carry every bit.
-        let just_above_half = f64::from_bits(0.5f64.to_bits() + 1);
-        for z in [1e-12, 1.0 - 1e-12, just_above_half, f64::MIN_POSITIVE] {
-            let mut c = SystemConfig::small_test();
-            c.access = AccessPattern::Zipf(z);
-            cases.push(c);
-        }
-        // Extreme stripe sizes and populations. These configs need not
-        // validate — the wire layer round-trips what it is given; the
-        // worker validates before simulating.
-        let mut c = SystemConfig::small_test();
-        c.stripe_bytes = 1;
-        c.n_terminals = u32::MAX;
-        cases.push(c);
-        let mut c = SystemConfig::small_test();
-        c.stripe_bytes = u64::MAX;
-        c.server_memory_bytes = u64::MAX;
-        c.seed = u64::MAX;
-        cases.push(c);
-        for cfg in cases {
-            let mut sent = job(cfg);
-            sent.id = u64::MAX;
-            sent.terminals = u32::MAX;
-            sent.replication = u32::MAX;
-            sent.base = Some(u32::MAX);
-            sent.snapshot = Some(u64::MAX);
-            sent.telemetry = Some(u64::MAX);
-            let line = encode_job(&sent);
-            let got = parse_job(&line).expect("adversarial round trip");
-            assert_eq!(got.id, sent.id);
-            assert_eq!(got.terminals, sent.terminals);
-            assert_eq!(got.replication, sent.replication);
-            assert_eq!(got.base, sent.base);
-            assert_eq!(got.snapshot, sent.snapshot);
-            assert_eq!(got.telemetry, sent.telemetry);
-            assert_eq!(
-                ProbeCache::fingerprint(&got.config),
-                ProbeCache::fingerprint(&sent.config),
-                "adversarial config drifted across the wire"
-            );
-            assert_eq!(got.config.n_terminals, sent.config.n_terminals);
-            // Every prefix must parse without panicking (job lines are
-            // ASCII, so every byte offset is a char boundary). A prefix
-            // that happens to cut inside a trailing numeric value can
-            // still parse — the job framing is newline-delimited, so a
-            // short read never reaches the parser in practice — but it
-            // must never panic or loop.
-            for cut in 0..line.len() {
-                let _ = parse_job(&line[..cut]);
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_frame_round_trips_and_verifies_its_digest() {
-        // A body shaped like real snap tokens: space-joined key=value.
-        let body = "cn=1234 cq=9 ct=42 ce=1 et=99 es=3 ek=1 ev=7 ew=2";
-        let line = encode_snapshot(14, 3, body);
-        let rec = parse_snapshot(&line).expect("round trip");
-        assert_eq!(rec.base, 14);
-        assert_eq!(rec.replication, 3);
-        assert_eq!(rec.body, body);
-        assert_eq!(rec.digest, snapshot_digest(body));
-        // Re-encoding the parsed record reproduces the line byte for byte.
-        assert_eq!(encode_snapshot(rec.base, rec.replication, rec.body), line);
-        // The digest is over the exact bytes: a one-character body edit
-        // must be caught.
-        let corrupt = line.replace("ev=7", "ev=8");
-        assert!(matches!(
-            parse_snapshot(&corrupt),
-            Err(WireError::BadValue {
-                field: "digest",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn snapshot_parser_rejects_garbage_with_typed_errors() {
-        let err = |line: &str| parse_snapshot(line).expect_err("parse should fail");
-        assert_eq!(err(""), WireError::UnknownRecord);
-        assert_eq!(err("spiffi-job/4 id=1"), WireError::UnknownRecord);
-        assert_eq!(
-            err("spiffi-snapshot/999 digest=0 base=1 repl=0 x=1"),
-            WireError::Version {
-                got: 999,
-                want: PROTO_VERSION
-            }
-        );
-        assert!(matches!(
-            err("spiffi-snapshot/4 digest=nothex base=1 repl=0 x=1"),
-            WireError::BadValue {
-                field: "digest",
-                ..
-            }
-        ));
-        assert_eq!(
-            err("spiffi-snapshot/4 base=1 repl=0 x=1"),
-            WireError::MissingField("digest")
-        );
-        // Every truncation of a valid frame errors: header cuts read as
-        // Truncated/MissingField, body cuts break the digest. (The frame
-        // is ASCII, so every byte offset is a char boundary.)
-        let line = encode_snapshot(20, 0, "aa=1 bb=2 cc=3");
-        for cut in 0..line.len() {
-            assert!(
-                parse_snapshot(&line[..cut]).is_err(),
-                "a {cut}-byte prefix must not parse as a valid frame"
-            );
-        }
-    }
-
-    #[test]
-    fn result_round_trips() {
+        let mut empty_telemetry = telemetry_record();
+        empty_telemetry.spans.clear();
+        empty_telemetry.samples.clear();
         let ok = ResultRecord {
             id: 7,
             outcome: Ok(WorkerOutcome {
                 glitches: 0,
                 events: 123_456,
-                wall_nanos: 9_876_543,
+                wall_nanos: u64::MAX,
             }),
         };
-        assert_eq!(parse_result(&encode_result(&ok)), Ok(ok.clone()));
-        let err = ResultRecord {
+        let err = |msg: &str| ResultRecord {
             id: 8,
-            outcome: Err("library \"x\" \\ exploded".into()),
+            outcome: Err(msg.into()),
         };
-        assert_eq!(parse_result(&encode_result(&err)), Ok(err));
-    }
-
-    /// Regression (satellite audit): a control character in a worker
-    /// error message used to pass through `encode_result` raw — a newline
-    /// broke the line framing, splitting one record into two garbage
-    /// lines. The shared JSON escape helper must keep the record on one
-    /// line and round-trip the message exactly.
-    #[test]
-    fn result_error_with_control_chars_stays_one_line_and_round_trips() {
-        let nasty = "thread panicked:\nstack\ttrace \"here\"\r\u{1}\\done";
-        let rec = ResultRecord {
-            id: 9,
-            outcome: Err(nasty.into()),
-        };
-        let line = encode_result(&rec);
-        assert!(!line.contains('\n'), "framing broken by raw newline");
-        assert!(!line.bytes().any(|b| b < 0x20));
-        assert_eq!(parse_result(&line), Ok(rec));
-    }
-
-    #[test]
-    fn result_parser_rejects_garbage_with_typed_errors() {
-        assert_eq!(parse_result(""), Err(WireError::UnknownRecord));
-        assert_eq!(parse_result("panic: oh no"), Err(WireError::UnknownRecord));
-        assert_eq!(
-            parse_result("{\"spiffi_worker\":999,\"job\":1,\"ok\":true}"),
-            Err(WireError::Version {
-                got: 999,
-                want: PROTO_VERSION
-            })
-        );
-        // Killed mid-write: no closing brace.
-        let full = encode_result(&ResultRecord {
-            id: 3,
-            outcome: Ok(WorkerOutcome {
-                glitches: 1,
-                events: 10,
-                wall_nanos: 20,
-            }),
-        });
-        for cut in [full.len() - 1, full.len() - 8, 20] {
-            assert_eq!(
-                parse_result(&full[..cut]),
-                Err(WireError::Truncated),
-                "prefix of {cut} bytes must read as truncated"
-            );
-        }
-        // Well-formed JSON but missing the outcome marker.
-        assert_eq!(
-            parse_result("{\"spiffi_worker\":4,\"job\":4}"),
-            Err(WireError::MissingField("ok"))
-        );
-        // Missing a counted field.
-        assert_eq!(
-            parse_result("{\"spiffi_worker\":4,\"job\":4,\"ok\":true,\"events\":5}"),
-            Err(WireError::MissingField("glitches"))
-        );
-        // Non-numeric where a number must be.
-        assert!(matches!(
-            parse_result("{\"spiffi_worker\":4,\"job\":nope,\"ok\":true}"),
-            Err(WireError::BadValue { field: "job", .. })
-        ));
-        // Regression: a version that overflows u32 used to truncate via
-        // `as u32` — 2^32 + PROTO_VERSION read as the current version and
-        // the garbage record was accepted. It must be a typed error.
-        let overflowed = format!(
-            "{{\"spiffi_worker\":{},\"job\":4,\"ok\":true,\
-             \"glitches\":0,\"events\":5,\"wall_nanos\":6}}",
-            (1u64 << 32) + PROTO_VERSION as u64
-        );
-        assert!(matches!(
-            parse_result(&overflowed),
-            Err(WireError::BadValue {
-                field: "spiffi_worker",
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn telemetry_frame_round_trips_bit_identically() {
-        let rec = telemetry_record();
-        let line = encode_telemetry(&rec);
-        let got = parse_telemetry(&line).expect("round trip");
-        // PartialEq over f64 bit patterns: the exotic utilizations
-        // (MIN_POSITIVE, next-after-0.5) must survive exactly.
-        assert_eq!(got, rec);
-        // An empty frame (no spans, no samples, no disks) round-trips too.
-        let empty = TelemetryRecord {
-            job: 0,
-            interval_ns: 1,
-            delta: TelemetryDelta {
-                glitches: 0,
-                events: 0,
-                import_wall_nanos: 0,
-                fork_wall_nanos: 0,
-                simulate_wall_nanos: 0,
-                forked: false,
-                avg_disk_utilization: 0.0,
+        vec![
+            Kind {
+                name: "job",
+                lines: jobs,
+                reencode: |l| parse_job(l).map(|j| encode_job(&j)),
             },
-            spans: Vec::new(),
-            samples: Vec::new(),
-        };
-        assert_eq!(
-            parse_telemetry(&encode_telemetry(&empty)).expect("empty round trip"),
-            empty
-        );
+            Kind {
+                name: "snapshot",
+                lines: vec![
+                    encode_snapshot(14, 3, "cn=1234 cq=9 ct=42 ce=1 et=99 es=3"),
+                    encode_snapshot(u32::MAX, 0, "x=1"),
+                ],
+                reencode: |l| {
+                    parse_snapshot(l).map(|r| encode_snapshot(r.base, r.replication, r.body))
+                },
+            },
+            Kind {
+                name: "telemetry",
+                lines: vec![
+                    encode_telemetry(&telemetry_record()),
+                    encode_telemetry(&empty_telemetry),
+                ],
+                reencode: |l| parse_telemetry(l).map(|r| encode_telemetry(&r)),
+            },
+            Kind {
+                name: "result",
+                lines: vec![
+                    encode_result(&ok),
+                    encode_result(&err("library \"x\" \\ exploded")),
+                    encode_result(&err("thread panicked:\nstack\ttrace\r\u{1}é end=1")),
+                    encode_result(&err("")),
+                ],
+                reencode: |l| parse_result(l).map(|r| encode_result(&r)),
+            },
+        ]
     }
 
-    /// Satellite coverage: every truncation of a telemetry frame and a
-    /// body tamper must return a typed error — never a panic, never a
-    /// silently wrong record. Telemetry rides the same stdout pipe as
-    /// results, so a worker killed mid-frame is a normal event.
+    /// The adversarial harness, one pass per record kind: exact round
+    /// trips, every prefix rejected with a typed error, every single-byte
+    /// flip either rejected or decoded to a canonical record (never a
+    /// panic), the previous protocol version rejected, and no kind's
+    /// parser accepting another kind's line.
     #[test]
-    fn telemetry_truncation_and_tamper_sweeps_yield_typed_errors() {
-        let line = encode_telemetry(&telemetry_record());
-        // The frame is ASCII, so every byte offset is a char boundary.
-        for cut in 0..line.len() {
-            assert!(
-                parse_telemetry(&line[..cut]).is_err(),
-                "a {cut}-byte prefix must not parse as a valid frame"
+    fn every_record_kind_survives_the_adversarial_harness() {
+        let kinds = kinds();
+        for kind in &kinds {
+            for line in &kind.lines {
+                let name = kind.name;
+                assert!(line.is_ascii() && !line.contains('\n'), "{name}: {line}");
+                assert_eq!(
+                    (kind.reencode)(line).as_ref(),
+                    Ok(line),
+                    "{name} round trip"
+                );
+                // ASCII, so every byte offset is a char boundary.
+                for cut in 0..line.len() {
+                    assert!(
+                        (kind.reencode)(&line[..cut]).is_err(),
+                        "{name}: a {cut}-byte prefix parsed: {line}"
+                    );
+                }
+                for at in 0..line.len() {
+                    for flip in [line.as_bytes()[at] ^ 1, b' ', b'0'] {
+                        let mut bytes = line.clone().into_bytes();
+                        bytes[at] = flip;
+                        let flipped = String::from_utf8(bytes).expect("ascii");
+                        if let Ok(re) = (kind.reencode)(&flipped) {
+                            assert_eq!(
+                                (kind.reencode)(&re).as_ref(),
+                                Ok(&re),
+                                "{name}: flip at {at} decoded to a non-canonical record"
+                            );
+                        }
+                    }
+                }
+                let old = line.replacen(&format!("/{PROTO_VERSION} "), "/4 ", 1);
+                assert_eq!(
+                    (kind.reencode)(&old),
+                    Err(WireError::Version {
+                        got: 4,
+                        want: PROTO_VERSION
+                    }),
+                    "{name}"
+                );
+                for other in kinds.iter().filter(|k| k.name != name) {
+                    assert_eq!(
+                        (other.reencode)(line),
+                        Err(WireError::UnknownRecord),
+                        "{} parser on a {name} line",
+                        other.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn job_header_and_config_survive_the_wire() {
+        for cfg in exotic_configs() {
+            let mut sent = job(cfg);
+            sent.base = Some(20);
+            sent.snapshot = Some(0x00ab_cdef_0123_4567);
+            sent.telemetry = Some(1_000_000_000);
+            let got = parse_job(&encode_job(&sent)).expect("round trip");
+            assert_eq!(
+                (got.id, got.terminals, got.replication),
+                (sent.id, sent.terminals, sent.replication)
+            );
+            assert_eq!(
+                (got.base, got.snapshot, got.telemetry),
+                (sent.base, sent.snapshot, sent.telemetry)
+            );
+            assert_eq!(got.config.scenario, sent.config.scenario);
+            assert_eq!(got.config.n_terminals, sent.config.n_terminals);
+            assert_eq!(
+                crate::ProbeCache::fingerprint(&got.config),
+                crate::ProbeCache::fingerprint(&sent.config),
+                "config drifted across the wire"
             );
         }
-        // Tampering anywhere in the body breaks the digest before any
-        // field is interpreted.
-        let corrupt = line.replace("gl=1", "gl=9");
+    }
+
+    #[test]
+    fn parsers_name_the_field_that_failed() {
+        fn snap_err<T: fmt::Debug>(e: Result<T, WireError>) -> SnapError {
+            match e {
+                Err(WireError::Snap(e)) => e,
+                other => panic!("expected a token error, got {other:?}"),
+            }
+        }
+        assert!(matches!(parse_job(""), Err(WireError::UnknownRecord)));
         assert!(matches!(
-            parse_telemetry(&corrupt),
-            Err(WireError::BadValue {
-                field: "digest",
-                ..
-            })
+            parse_job("hello world"),
+            Err(WireError::UnknownRecord)
         ));
-        // Flipping single body bytes must also be caught by the digest.
-        let body_at = line.find(" iv=").expect("body marker") + 1;
-        for at in [body_at, body_at + 10, line.len() - 1] {
-            let mut bytes = line.clone().into_bytes();
-            bytes[at] = if bytes[at] == b'7' { b'8' } else { b'7' };
-            let flipped = String::from_utf8(bytes).expect("ascii");
-            if flipped == line {
-                continue;
-            }
-            assert!(
-                parse_telemetry(&flipped).is_err(),
-                "byte flip at {at} must not parse"
-            );
-        }
-    }
-
-    #[test]
-    fn telemetry_parser_rejects_garbage_with_typed_errors() {
-        let err = |line: &str| parse_telemetry(line).expect_err("parse should fail");
-        assert_eq!(err(""), WireError::UnknownRecord);
-        assert_eq!(err("spiffi-job/4 id=1"), WireError::UnknownRecord);
+        let good = encode_job(&job(SystemConfig::small_test()));
+        // An unknown enum tag.
+        let mangled = good.replacen(" sched=2 ", " sched=9 ", 1);
         assert_eq!(
-            err("spiffi-telemetry/999 digest=0 job=1 iv=1"),
-            WireError::Version {
-                got: 999,
-                want: PROTO_VERSION
+            snap_err(parse_job(&mangled)),
+            SnapError::BadValue {
+                key: "sched",
+                value: "9".into()
             }
         );
-        assert_eq!(
-            err("spiffi-telemetry/4 job=1 iv=1"),
-            WireError::MissingField("digest")
-        );
-        // A declared span the body does not carry (count tampered before
-        // digest… impossible on the wire, but the parser must still be
-        // total): rebuild a frame with a lying count and a fresh digest.
-        let body = "iv=1 gl=0 ev=0 iw=0 fw=0 sw=0 fk=0 du=0000000000000000 ns=2 \
-                    s0=warmup:0:1:0 nr=0";
-        let lying = format!(
-            "spiffi-telemetry/{PROTO_VERSION} digest={:016x} job=1 {body}",
-            snapshot_digest(body)
-        );
-        assert_eq!(
-            parse_telemetry(&lying),
-            Err(WireError::MissingField("span"))
-        );
-        // An unknown phase label.
-        let body = "iv=1 gl=0 ev=0 iw=0 fw=0 sw=0 fk=0 du=0000000000000000 ns=1 \
-                    s0=teleport:0:1:0 nr=0";
-        let unknown = format!(
-            "spiffi-telemetry/{PROTO_VERSION} digest={:016x} job=1 {body}",
-            snapshot_digest(body)
+        // Nothing may follow the closing token.
+        assert!(matches!(
+            snap_err(parse_job(&format!("{good} x=1"))),
+            SnapError::TrailingTokens { .. }
+        ));
+        // A version that overflows u32 must not wrap into one we speak.
+        let overflowed = encode_result(&ResultRecord {
+            id: 1,
+            outcome: Err("x".into()),
+        })
+        .replacen(
+            &format!("/{PROTO_VERSION} "),
+            &format!("/{} ", (1u64 << 32) + PROTO_VERSION as u64),
+            1,
         );
         assert!(matches!(
-            parse_telemetry(&unknown),
-            Err(WireError::BadValue { field: "span", .. })
+            snap_err(parse_result(&overflowed)),
+            SnapError::BadValue { key: "version", .. }
+        ));
+        // A snapshot body edit breaks its digest.
+        let line = encode_snapshot(14, 3, "ev=7 ew=2");
+        assert!(matches!(
+            snap_err(parse_snapshot(&line.replace("ev=7", "ev=8"))),
+            SnapError::BadValue { key: "digest", .. }
+        ));
+        // Telemetry bodies that verify but lie: a span count the body
+        // does not carry, and a phase label out of range.
+        let frame = |body: &str| encode_frame(TELEMETRY, &[("job", 1)], body);
+        let head = "iv=1 gl=0 ev=0 iw=0 fw=0 sw=0 fk=0 du=0000000000000000";
+        assert_eq!(
+            snap_err(parse_telemetry(&frame(&format!(
+                "{head} ns=2 sl=0 s0=0 s1=1 sw=0 nr=0"
+            )))),
+            SnapError::WrongKey {
+                expected: "sl",
+                got: "nr".into()
+            }
+        );
+        assert!(matches!(
+            snap_err(parse_telemetry(&frame(&format!(
+                "{head} ns=1 sl=5 s0=0 s1=1 sw=0 nr=0"
+            )))),
+            SnapError::BadValue { key: "sl", .. }
         ));
     }
 }

@@ -149,6 +149,18 @@ impl SnapWriter {
         self.u64(key, d.0);
     }
 
+    /// Append free text as one token: its UTF-8 bytes in lowercase hex,
+    /// so whitespace, `=` and control characters can never split the
+    /// token or break the line.
+    pub fn text(&mut self, key: &str, v: &str) {
+        use fmt::Write;
+        let mut hex = String::with_capacity(2 * v.len());
+        for b in v.bytes() {
+            write!(hex, "{b:02x}").expect("write to String cannot fail");
+        }
+        self.push_raw(key, format_args!("{hex}"));
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -272,6 +284,24 @@ impl<'a> SnapReader<'a> {
         self.u64(key).map(SimDuration)
     }
 
+    /// Read a [`SnapWriter::text`] token back: hex pairs that must decode
+    /// to valid UTF-8.
+    pub fn text(&mut self, key: &'static str) -> Result<String, SnapError> {
+        let v = self.next_val(key)?;
+        let bad = || SnapError::BadValue {
+            key,
+            value: clip(v),
+        };
+        if v.len() % 2 != 0 || !v.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(bad());
+        }
+        let bytes = (0..v.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&v[i..i + 2], 16).expect("checked hex"))
+            .collect();
+        String::from_utf8(bytes).map_err(|_| bad())
+    }
+
     /// Assert the stream is fully consumed.
     pub fn finish(mut self) -> Result<(), SnapError> {
         match self.toks.next() {
@@ -299,6 +329,8 @@ mod tests {
         w.f64("i", f64::NAN);
         w.time("t", SimTime(42));
         w.dur("u", SimDuration(1_000_000_007));
+        w.text("s", "a b=c\n\u{1}é");
+        w.text("e", "");
         let line = w.finish();
 
         let mut r = SnapReader::new(&line);
@@ -313,6 +345,8 @@ mod tests {
         assert_eq!(r.f64("i").unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(r.time("t").unwrap(), SimTime(42));
         assert_eq!(r.dur("u").unwrap(), SimDuration(1_000_000_007));
+        assert_eq!(r.text("s").unwrap(), "a b=c\n\u{1}é");
+        assert_eq!(r.text("e").unwrap(), "");
         r.finish().unwrap();
     }
 
@@ -375,6 +409,21 @@ mod tests {
             SnapReader::new("keyonly").u64("x"),
             Err(SnapError::WrongKey { .. })
         ));
+    }
+
+    #[test]
+    fn malformed_text_is_rejected() {
+        // Odd length, a non-hex pair, a sign `from_str_radix` would accept,
+        // and bytes that are not UTF-8.
+        for bad in ["x=abc", "x=zz", "x=+1", "x=ff"] {
+            assert!(
+                matches!(
+                    SnapReader::new(bad).text("x"),
+                    Err(SnapError::BadValue { key: "x", .. })
+                ),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

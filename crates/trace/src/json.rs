@@ -1,7 +1,7 @@
 //! Shared helpers for the repo's hand-rolled JSON emitters.
 //!
-//! Every emitter in the workspace (`JournalSnapshot::to_json`, the wire
-//! result lines, the JSONL/Chrome exporters) writes JSON by hand to keep
+//! Every emitter in the workspace (`JournalSnapshot::to_json`, the
+//! scenario verdicts, the JSONL/Chrome exporters) writes JSON by hand to keep
 //! the dependency set empty. That is fine for integers, but strings and
 //! floats have sharp edges: an unescaped control character in an error
 //! message breaks line framing, and `NaN`/`inf` are not JSON at all.
